@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, TransmitSet, round_step
+from .model import BipartiteRadioNet, Radius2Net, TransmitSet, round_step, sole_sender
 from .util import derive_rng
 from .verifier import (
     ENUMERATION_BUDGET_BITS,
+    climb,
     max_receptions_exact,
     max_receptions_search,
 )
@@ -36,8 +37,7 @@ class GF2Basis:
     incrementally and never decreases; each insert raises it by at most 1.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self._pivot_rows: dict[int, int] = {}
 
     def insert(self, vector: int) -> bool:
@@ -71,7 +71,7 @@ class ReceiverState:
         if self.mode not in CONTENT_MODELS:
             raise InputError(f"unknown content model {self.mode!r}")
         if self.mode == "coding" and self.basis is None:
-            self.basis = GF2Basis(self.k)
+            self.basis = GF2Basis()
 
     def receive(self, payload: int) -> None:
         self.receptions += 1
@@ -90,13 +90,6 @@ class ReceiverState:
     @property
     def decoded(self) -> bool:
         return self.rank >= self.k
-
-
-def decode_rank(state: ReceiverState) -> int:
-    """Rank of the stored coefficient basis (coding model only)."""
-    if state.mode != "coding":
-        raise InputError("decode_rank applies to the coding content model")
-    return state.basis.rank
 
 
 @dataclass(frozen=True)
@@ -133,11 +126,6 @@ class BroadcastConfig:
             raise InputError("max_rounds must be positive")
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must be a 64-bit unsigned integer")
-
-    @property
-    def message_bits(self) -> Optional[int]:
-        """Messages are exactly one packet long."""
-        return self.packet_bits
 
 
 @dataclass(frozen=True)
@@ -177,86 +165,16 @@ def lower_bound_rounds(k: int, receiver_count: int, maxrec: int) -> Union[int, f
     return -(-demand // maxrec)
 
 
-def _best_transmit_mask(net: BipartiteRadioNet, active: list[bool]) -> int:
-    """Steepest-ascent transmit set maximizing receptions among active receivers.
+def _best_transmit_mask(net: BipartiteRadioNet, waiting: set[int]) -> int:
+    """Steepest-ascent transmit set maximizing receptions among waiting receivers.
 
-    Starts from the empty set and repeatedly applies the single-sender flip
-    with the largest positive gain (smallest sender index on ties), so the
-    result is deterministic.
+    Climbs from the empty set over sender adjacency restricted to the waiting
+    receivers, so the result is deterministic. Every flip gains at least one
+    reception, so receiver_count flips always suffice.
     """
-    sender_adj = net.sender_to_receivers
-    n_prime = net.sender_count
-    counters = bytearray(net.receiver_count)
-    mask = 0
-    while True:
-        best_gain = 0
-        best_flip = -1
-        for u in range(n_prime):
-            gain = 0
-            if (mask >> u) & 1:
-                for r in sender_adj[u]:
-                    if active[r]:
-                        c = counters[r]
-                        if c == 1:
-                            gain -= 1
-                        elif c == 2:
-                            gain += 1
-            else:
-                for r in sender_adj[u]:
-                    if active[r]:
-                        c = counters[r]
-                        if c == 0:
-                            gain += 1
-                        elif c == 1:
-                            gain -= 1
-            if gain > best_gain:
-                best_gain = gain
-                best_flip = u
-        if best_flip < 0:
-            return mask
-        bit = 1 << best_flip
-        mask ^= bit
-        if mask & bit:
-            for r in sender_adj[best_flip]:
-                counters[r] += 1
-        else:
-            for r in sender_adj[best_flip]:
-                counters[r] -= 1
-
-
-def greedy_schedule(
-    net: BipartiteRadioNet, horizon: int, needs: Optional[Iterable[int]] = None
-) -> list[TransmitSet]:
-    """Greedy per-round transmit sets until every needing receiver has heard once.
-
-    Each round's set is chosen by steepest-ascent flips over receptions among
-    receivers still waiting; receivers that receive drop out. Stops early
-    when all are satisfied or no set can deliver anything (e.g. receivers
-    with no neighbors).
-    """
-    if horizon < 0:
-        raise InputError("horizon must be nonnegative")
-    if needs is None:
-        waiting = set(range(net.receiver_count))
-    else:
-        waiting = {int(r) for r in needs}
-        for r in waiting:
-            if not 0 <= r < net.receiver_count:
-                raise InputError(f"receiver index {r} out of range")
-    schedule: list[TransmitSet] = []
-    while waiting and len(schedule) < horizon:
-        active = [r in waiting for r in range(net.receiver_count)]
-        mask = _best_transmit_mask(net, active)
-        if mask == 0:
-            break
-        transmit = TransmitSet(net.sender_count, mask)
-        outcome = round_step(net, transmit)
-        served = {r for r in waiting if outcome.received[r]}
-        if not served:
-            break
-        waiting -= served
-        schedule.append(transmit)
-    return schedule
+    sender_adj = [[r for r in adj if r in waiting] for adj in net.sender_to_receivers]
+    mask, _, _ = climb(sender_adj, [0] * net.receiver_count, 0, net.receiver_count)
+    return mask
 
 
 def _span_sample(vectors: list[int], rng) -> int:
@@ -376,8 +294,7 @@ def run_broadcast(
             j = (policy_round - 1) % n_senders
             senders = [j]
         elif cfg.policy == "greedy_schedule":
-            active = [r in waiting for r in range(receiver_count)]
-            mask = _best_transmit_mask(core, active)
+            mask = _best_transmit_mask(core, waiting)
             if mask == 0:
                 break  # nobody reachable can still be helped
             senders = [u for u in range(n_senders) if (mask >> u) & 1]
@@ -391,7 +308,7 @@ def run_broadcast(
             for u in senders:
                 payloads[net.sender_node(u)] = _span_sample(sender_vectors[u], rng)
         elif cfg.policy == "greedy_schedule":
-            payloads = _greedy_message_choice(core, states, waiting, senders, k)
+            payloads = _greedy_message_choice(core, states, waiting, mask, k)
             payloads = {net.sender_node(u): msg for u, msg in payloads.items()}
         else:
             for u in senders:
@@ -430,28 +347,21 @@ def _greedy_message_choice(
     core: BipartiteRadioNet,
     states: list[ReceiverState],
     waiting: set[int],
-    senders: list[int],
+    mask: int,
     k: int,
 ) -> dict[int, int]:
     """Pick each transmitter's message id: the one missing from most of the
     receivers that will hear exactly that transmitter this round."""
-    sender_set = set(senders)
+    senders = TransmitSet(core.sender_count, mask).members()
     exclusive: dict[int, list[int]] = {u: [] for u in senders}
     for r in waiting:
-        hit = -1
-        hits = 0
-        for u in core.receivers[r].neighbors:
-            if u in sender_set:
-                hits += 1
-                if hits > 1:
-                    break
-                hit = u
-        if hits == 1:
-            exclusive[hit].append(r)
+        u = sole_sender(core.neighbor_masks[r], mask)
+        if u is not None:
+            exclusive[u].append(r)
     choice: dict[int, int] = {}
-    for u in senders:
+    for u, heard_by in exclusive.items():
         tally = [0] * k
-        for r in exclusive[u]:
+        for r in heard_by:
             held = states[r].ids
             for msg in range(k):
                 if msg not in held:

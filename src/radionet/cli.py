@@ -284,7 +284,12 @@ def _cmd_report(args) -> None:
     rows = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputError(f"{path} is not a simulate artifact: not a JSON object")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise InputError(
                 f"schema-version mismatch in {path}: "

@@ -10,11 +10,11 @@ degree-1 void nodes to pad the network to exactly n nodes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import InputError
 from .model import BipartiteRadioNet, Radius2Net, Receiver
+from .util import derive_rng
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,6 @@ class InstanceParams:
             raise InputError(f"n={self.n} must be a power of 4 (4, 16, 64, ...)")
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must be a 64-bit unsigned integer")
-        # For class_count >= 3 the generated core is strictly smaller than n;
-        # smaller cores are allowed but flagged by family_size_check.
-        if self.class_count >= 3:
-            assert self.n_prime * (1 + self.class_count) < self.n
 
     @property
     def n_prime(self) -> int:
@@ -56,7 +52,7 @@ def _receiver_neighbors(seed: int, receiver_index: int, sender_count: int, degre
     every receiver can be regenerated independently of iteration order or
     worker layout.
     """
-    rng = random.Random((seed << 64) | receiver_index)
+    rng = derive_rng(seed, receiver_index)
     pool = list(range(sender_count))
     for t in range(degree):
         swap = rng.randrange(t, sender_count)
@@ -93,25 +89,3 @@ def build_radius2(core: BipartiteRadioNet, n: int) -> Radius2Net:
     if n < eta + 1:
         raise InputError(f"n={n} leaves no room for the source above {eta} core nodes")
     return Radius2Net(core, n - eta - 1)
-
-
-@dataclass(frozen=True)
-class SizeReport:
-    """Node-count check for a generated core against its budget."""
-
-    node_count: int
-    budget: int
-    passed: bool
-    small_n_exception: bool
-
-
-def family_size_check(params: InstanceParams) -> SizeReport:
-    """Check n'(1 + m) < n. Instances with m <= 2 are flagged: the strict
-    bound is tight or fails there, yet the tiny graphs are still useful."""
-    nodes = params.n_prime * (1 + params.class_count)
-    return SizeReport(
-        node_count=nodes,
-        budget=params.n,
-        passed=nodes < params.n,
-        small_n_exception=params.class_count <= 2,
-    )

@@ -7,10 +7,14 @@ nothing; a transmitting node never receives.
 
 Two graph shapes are supported. `BipartiteRadioNet` holds senders on one
 side and class-structured receivers on the other, with adjacency stored
-receiver-side only (receivers drive the reception rule; sender-side lists
-are derived on demand and cached). `Radius2Net` wraps a bipartite core with
-a single source node attached to every sender plus optional degree-1 void
-nodes, giving a connected network of radius 2.
+receiver-side only (sender-side lists are derived on demand and cached).
+`Radius2Net` wraps a bipartite core with a single source node attached to
+every sender plus optional degree-1 void nodes, giving a connected network
+of radius 2.
+
+Both shapes cache one neighbor bit mask per listening node, and every
+exactly-one test in the package works on those masks: a node with mask m
+hears transmit set T iff x = m & T is nonzero and x & (x - 1) == 0.
 """
 
 from __future__ import annotations
@@ -83,6 +87,30 @@ class BipartiteRadioNet:
                     lists[u].append(idx)
         return tuple(tuple(l) for l in lists)
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each receiver's senders as a bit mask: bit u is set iff u is a neighbor."""
+        return tuple(_bit_mask(r.neighbors) for r in self.receivers)
+
+
+def _bit_mask(ids: Iterable[int]) -> int:
+    mask = 0
+    for u in ids:
+        mask |= 1 << u
+    return mask
+
+
+def sole_sender(mask: int, bits: int) -> Optional[int]:
+    """The reception rule on bit masks: the one transmitter among the neighbors.
+
+    `mask` holds a node's neighbors and `bits` the transmit set. Returns the
+    id of the single transmitting neighbor, or None on silence or collision.
+    """
+    x = mask & bits
+    if x and not x & (x - 1):
+        return x.bit_length() - 1
+    return None
+
 
 @dataclass(frozen=True)
 class Radius2Net:
@@ -139,6 +167,11 @@ class Radius2Net:
             adj[self.void_node(t)].append(self.SOURCE)
         return tuple(tuple(sorted(l)) for l in adj)
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each node's neighbors as a bit mask over the node-id layout."""
+        return tuple(_bit_mask(nbrs) for nbrs in self.adjacency)
+
 
 RadioNet = Union[BipartiteRadioNet, Radius2Net]
 
@@ -173,7 +206,13 @@ class TransmitSet:
         return cls(width, bits)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if (self.bits >> i) & 1)
+        members = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            members.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(members)
 
     def __contains__(self, node: int) -> bool:
         return 0 <= node < self.width and bool((self.bits >> node) & 1)
@@ -208,65 +247,20 @@ def round_step(net: RadioNet, transmitters: TransmitSet) -> RoundOutcome:
     never receive.
     """
     if isinstance(net, Radius2Net):
-        return _round_step_radius2(net, transmitters)
-    if isinstance(net, BipartiteRadioNet):
-        return _round_step_bipartite(net, transmitters)
-    raise InputError(f"unsupported network type {type(net).__name__}")
-
-
-def _round_step_bipartite(net: BipartiteRadioNet, transmitters: TransmitSet) -> RoundOutcome:
-    if transmitters.width != net.sender_count:
-        raise InputError(
-            f"transmit set width {transmitters.width} != sender count {net.sender_count}"
-        )
+        width = net.total_nodes
+    elif isinstance(net, BipartiteRadioNet):
+        width = net.sender_count
+    else:
+        raise InputError(f"unsupported network type {type(net).__name__}")
+    if transmitters.width != width:
+        raise InputError(f"transmit set width {transmitters.width} != net width {width}")
     bits = transmitters.bits
-    received = []
-    sources: list[Optional[int]] = []
-    count = 0
-    for receiver in net.receivers:
-        hits = 0
-        source = None
-        for u in receiver.neighbors:
-            if (bits >> u) & 1:
-                hits += 1
-                if hits > 1:
-                    break
-                source = u
-        ok = hits == 1
-        received.append(ok)
-        sources.append(source if ok else None)
-        count += ok
-    return RoundOutcome(tuple(received), count, tuple(sources))
-
-
-def _round_step_radius2(net: Radius2Net, transmitters: TransmitSet) -> RoundOutcome:
-    if transmitters.width != net.total_nodes:
-        raise InputError(
-            f"transmit set width {transmitters.width} != node count {net.total_nodes}"
-        )
-    bits = transmitters.bits
-    adjacency = net.adjacency
-    received = []
-    sources: list[Optional[int]] = []
-    count = 0
-    for node in range(net.total_nodes):
-        if (bits >> node) & 1:  # transmitting nodes never receive
-            received.append(False)
-            sources.append(None)
-            continue
-        hits = 0
-        source = None
-        for u in adjacency[node]:
-            if (bits >> u) & 1:
-                hits += 1
-                if hits > 1:
-                    break
-                source = u
-        ok = hits == 1
-        received.append(ok)
-        sources.append(source if ok else None)
-        count += ok
-    return RoundOutcome(tuple(received), count, tuple(sources))
+    sources = [sole_sender(mask, bits) for mask in net.neighbor_masks]
+    if isinstance(net, Radius2Net):
+        for node in transmitters.members():  # transmitting nodes never receive
+            sources[node] = None
+    received = tuple(source is not None for source in sources)
+    return RoundOutcome(received, sum(received), tuple(sources))
 
 
 def radius(net: Radius2Net) -> Union[int, float]:
@@ -341,19 +335,28 @@ def validate(net: BipartiteRadioNet) -> ValidationReport:
     Never raises: the report carries failures with receiver indices so
     callers can inspect malformed inputs.
     """
+    problems = _structure_problems(net)
+    for i, receiver in enumerate(net.receivers):
+        c = receiver.class_index
+        if c >= 0 and receiver.degree != 1 << c:
+            problems.append(
+                f"receiver {i}: degree {receiver.degree} != 2^{c} (degree != 2^i for class {c})"
+            )
+    return ValidationReport(tuple(problems))
+
+
+def _structure_problems(net: BipartiteRadioNet) -> list[str]:
+    """Violations that make the reception rule meaningless; loading rejects these.
+
+    A degree other than 2^class is not among them: hand-built nets may have it.
+    """
     problems: list[str] = []
     max_class = 0
     for i, receiver in enumerate(net.receivers):
         nbrs = receiver.neighbors
         if receiver.class_index < 0:
             problems.append(f"receiver {i}: negative class index {receiver.class_index}")
-        else:
-            max_class = max(max_class, receiver.class_index)
-            if len(nbrs) != 1 << receiver.class_index:
-                problems.append(
-                    f"receiver {i}: degree {len(nbrs)} != 2^{receiver.class_index} "
-                    f"(degree != 2^i for class {receiver.class_index})"
-                )
+        max_class = max(max_class, receiver.class_index)
         if len(set(nbrs)) != len(nbrs):
             problems.append(f"receiver {i}: duplicate neighbor in {list(nbrs)}")
         elif any(b <= a for a, b in zip(nbrs, nbrs[1:])):
@@ -365,7 +368,7 @@ def validate(net: BipartiteRadioNet) -> ValidationReport:
         problems.append(
             f"class_count {net.class_count} below largest receiver class {max_class}"
         )
-    return ValidationReport(tuple(problems))
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +391,11 @@ def dumps(net: RadioNet) -> str:
 
 
 def loads(text: str) -> RadioNet:
-    """Parse the `radionet v1` format; the `radius2` footer selects the wrapper."""
+    """Parse the `radionet v1` format; the `radius2` footer selects the wrapper.
+
+    Raises InputError on any structural violation: bad header or footer, a
+    negative count, or neighbor ids out of range, repeated or unsorted.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise InputError("empty network file")
@@ -399,6 +406,8 @@ def loads(text: str) -> RadioNet:
         sender_count, receiver_count = int(header[2]), int(header[3])
     except ValueError as exc:
         raise InputError(f"bad header counts in {lines[0]!r}") from exc
+    if receiver_count < 0:
+        raise InputError(f"negative receiver count in {lines[0]!r}")
     body = lines[1:]
     if len(body) not in (receiver_count, receiver_count + 1):
         raise InputError(
@@ -415,12 +424,18 @@ def loads(text: str) -> RadioNet:
             raise InputError(f"line {line_no}: empty receiver line")
         receivers.append(Receiver(values[0], tuple(values[1:])))
     net = BipartiteRadioNet(sender_count, tuple(receivers))
+    problems = _structure_problems(net)
+    if problems:
+        raise InputError(f"malformed net: {problems[0]}")
     if len(body) == receiver_count:
         return net
     footer = body[-1].split()
     if len(footer) != 3 or footer[0] != "radius2":
         raise InputError(f"bad footer {body[-1]!r}; expected 'radius2 <total> <voids>'")
-    total_nodes, void_count = int(footer[1]), int(footer[2])
+    try:
+        total_nodes, void_count = int(footer[1]), int(footer[2])
+    except ValueError as exc:
+        raise InputError(f"bad footer counts in {body[-1]!r}") from exc
     wrapped = Radius2Net(net, void_count)
     if wrapped.total_nodes != total_nodes:
         raise InputError(
@@ -437,4 +452,8 @@ def save(net: RadioNet, path: str) -> None:
 
 def load(path: str) -> RadioNet:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    return loads(text)

@@ -1,11 +1,11 @@
 """Maximization of single-round receptions over transmit sets.
 
-Exhaustive enumeration walks all 2**n' sender subsets in Gray-code order so
-each step flips one sender and touches only that sender's adjacent
-receivers. Beyond the enumeration budget a steepest-ascent hill climb with
-restarts gives a reproducible lower bound on the true maximum. Both report
-a witness transmit set, tie-broken to the smallest bit mask so results are
-identical across enumeration order and worker count.
+Exhaustive enumeration evaluates all 2**n' sender subsets as chunks of
+uint64 bit masks against each receiver's neighbor mask. Beyond the
+enumeration budget a steepest-ascent hill climb with restarts gives a
+reproducible lower bound on the true maximum. Both report a witness
+transmit set, tie-broken to the smallest bit mask so results are identical
+across enumeration order and worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import BudgetError, InputError
 from .instance import InstanceParams, sample_instance
@@ -24,6 +26,9 @@ from .util import derive_rng
 
 #: Exhaustive enumeration is capped at 2**26 subsets.
 ENUMERATION_BUDGET_BITS = 26
+
+#: Candidate transmit sets evaluated per numpy pass of exhaustive enumeration.
+CHUNK_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -37,61 +42,26 @@ class MaxReceptionResult:
     exact_flag: bool
 
 
-def _enumerate_block(
-    sender_adj: tuple[tuple[int, ...], ...],
-    receiver_count: int,
-    low_bits: int,
-    high_mask: int,
-) -> tuple[int, int]:
+def _enumerate_block(masks: tuple[int, ...], low_bits: int, high_mask: int) -> tuple[int, int]:
     """Best (count, mask) over all subsets with fixed high bits `high_mask`.
 
-    Walks the 2**low_bits low-bit subsets in Gray-code order, maintaining
-    per-receiver transmitting-neighbor counters and the number of receivers
-    currently at exactly one. Top-level function so worker processes can
-    pickle it.
+    Evaluates the 2**low_bits candidates in ascending chunks of uint64
+    masks; a receiver with neighbor mask m hears candidate T iff
+    popcount(m & T) == 1. Ties keep the smallest mask. Top-level function
+    so worker processes can pickle it.
     """
-    counters = bytearray(receiver_count)
-    total = 0
-    mask = high_mask
-    bit = high_mask
-    while bit:
-        u = (bit & -bit).bit_length() - 1
-        bit &= bit - 1
-        for r in sender_adj[u]:
-            c = counters[r]
-            counters[r] = c + 1
-            if c == 0:
-                total += 1
-            elif c == 1:
-                total -= 1
-    best = total
-    best_mask = mask
-    for step in range(1, 1 << low_bits):
-        u = (step & -step).bit_length() - 1
-        flip = 1 << u
-        mask ^= flip
-        adj_u = sender_adj[u]
-        if mask & flip:
-            for r in adj_u:
-                c = counters[r]
-                counters[r] = c + 1
-                if c == 0:
-                    total += 1
-                elif c == 1:
-                    total -= 1
-        else:
-            for r in adj_u:
-                c = counters[r]
-                counters[r] = c - 1
-                if c == 1:
-                    total -= 1
-                elif c == 2:
-                    total += 1
-        if total > best:
-            best = total
-            best_mask = mask
-        elif total == best and mask < best_mask:
-            best_mask = mask
+    receiver_masks = np.array(masks, dtype=np.uint64)
+    chunk = 1 << min(CHUNK_BITS, low_bits)
+    offsets = np.arange(chunk, dtype=np.uint64)
+    best, best_mask = -1, 0
+    for base in range(high_mask, high_mask + (1 << low_bits), chunk):
+        candidates = offsets + np.uint64(base)
+        counts = np.zeros(chunk, dtype=np.int64)
+        for m in receiver_masks:
+            counts += np.bitwise_count(candidates & m) == 1
+        top = int(counts.argmax())  # first maximum: the smallest mask
+        if counts[top] > best:
+            best, best_mask = int(counts[top]), base + top
     return best, best_mask
 
 
@@ -108,20 +78,17 @@ def max_receptions_exact(net: BipartiteRadioNet, workers: int = 1) -> MaxRecepti
             f"{n_prime} senders means 2^{n_prime} subsets, past the 2^"
             f"{ENUMERATION_BUDGET_BITS} enumeration budget; use max_receptions_search"
         )
-    sender_adj = net.sender_to_receivers
-    receiver_count = net.receiver_count
     if workers < 1:
         raise InputError("workers must be at least 1")
+    masks = net.neighbor_masks
 
     if workers == 1 or n_prime < 8:
-        best, best_mask = _enumerate_block(sender_adj, receiver_count, n_prime, 0)
+        best, best_mask = _enumerate_block(masks, n_prime, 0)
     else:
-        # Partition on the 4 high-order bits; each block Gray-walks the rest.
+        # Partition on the 4 high-order bits; each block enumerates the rest.
         split = min(4, n_prime)
         low = n_prime - split
-        blocks = [
-            (sender_adj, receiver_count, low, high << low) for high in range(1 << split)
-        ]
+        blocks = [(masks, low, high << low) for high in range(1 << split)]
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
@@ -142,22 +109,50 @@ def _enumerate_block_star(args) -> tuple[int, int]:
     return _enumerate_block(*args)
 
 
-def _count_receptions(sender_adj, receiver_count: int, mask: int) -> tuple[bytearray, int]:
-    """Per-receiver transmitting-neighbor counters and exactly-one total for `mask`."""
-    counters = bytearray(receiver_count)
-    total = 0
-    bit = mask
-    while bit:
-        u = (bit & -bit).bit_length() - 1
-        bit &= bit - 1
-        for r in sender_adj[u]:
-            c = counters[r]
-            counters[r] = c + 1
-            if c == 0:
-                total += 1
-            elif c == 1:
-                total -= 1
-    return counters, total
+def climb(
+    sender_adj: Sequence[Sequence[int]], counters: list[int], mask: int, flips: int
+) -> tuple[int, int, int]:
+    """Steepest-ascent single-sender flips from `mask`, the one climb of the package.
+
+    `sender_adj[u]` lists the receivers that count for sender u and
+    `counters[r]` the transmitting neighbors of receiver r under `mask`;
+    the counters are updated in place. Each step applies the flip with the
+    largest positive gain in receivers at exactly one (smallest sender index
+    on ties), until none improves or `flips` are spent. Returns the final
+    mask, the flips left and the number of scans made.
+    """
+    scans = 0
+    while flips > 0:
+        best_gain = 0
+        best_flip = -1
+        for u, adj in enumerate(sender_adj):
+            gain = 0
+            if (mask >> u) & 1:
+                for r in adj:
+                    c = counters[r]
+                    if c == 1:
+                        gain -= 1
+                    elif c == 2:
+                        gain += 1
+            else:
+                for r in adj:
+                    c = counters[r]
+                    if c == 0:
+                        gain += 1
+                    elif c == 1:
+                        gain -= 1
+            if gain > best_gain:
+                best_gain = gain
+                best_flip = u
+        scans += 1
+        if best_flip < 0:
+            break
+        flips -= 1
+        mask ^= 1 << best_flip
+        step = 1 if (mask >> best_flip) & 1 else -1
+        for r in sender_adj[best_flip]:
+            counters[r] += step
+    return mask, flips, scans
 
 
 def max_receptions_search(
@@ -171,13 +166,12 @@ def max_receptions_search(
     Starts from every singleton set plus `restarts` random sets of size
     n'/2, n'/4, ... cycling; each climb repeatedly applies the best
     improving flip (smallest sender index on ties) until none improves or
-    the flip budget runs out. Deterministic given the seed.
+    the flip budget, shared by all starts, runs out. Deterministic given
+    the seed.
     """
     if restarts < 1:
         raise InputError("restarts must be positive")
     n_prime = net.sender_count
-    sender_adj = net.sender_to_receivers
-    receiver_count = net.receiver_count
     if max_flips is None:
         max_flips = 64 * max(n_prime, 1)
     rng = derive_rng(seed)
@@ -197,45 +191,10 @@ def max_receptions_search(
     examined = 0
     flips_left = max_flips
     for start in starts:
-        counters, total = _count_receptions(sender_adj, receiver_count, start)
-        examined += 1
-        mask = start
-        while flips_left > 0:
-            best_gain = 0
-            best_flip = -1
-            for u in range(n_prime):
-                gain = 0
-                if (mask >> u) & 1:
-                    for r in sender_adj[u]:
-                        c = counters[r]
-                        if c == 1:
-                            gain -= 1
-                        elif c == 2:
-                            gain += 1
-                else:
-                    for r in sender_adj[u]:
-                        c = counters[r]
-                        if c == 0:
-                            gain += 1
-                        elif c == 1:
-                            gain -= 1
-                if gain > best_gain:
-                    best_gain = gain
-                    best_flip = u
-            examined += n_prime
-            if best_flip < 0:
-                break
-            flips_left -= 1
-            flip_bit = 1 << best_flip
-            mask ^= flip_bit
-            adj_u = sender_adj[best_flip]
-            if mask & flip_bit:
-                for r in adj_u:
-                    counters[r] += 1
-            else:
-                for r in adj_u:
-                    counters[r] -= 1
-            total += best_gain
+        counters = [(m & start).bit_count() for m in net.neighbor_masks]
+        mask, flips_left, scans = climb(net.sender_to_receivers, counters, start, flips_left)
+        examined += 1 + scans * n_prime
+        total = counters.count(1)
         if total > best or (total == best and mask < best_mask):
             best = total
             best_mask = mask

@@ -7,14 +7,13 @@ from radionet.broadcast import (
     BroadcastConfig,
     GF2Basis,
     ReceiverState,
-    decode_rank,
-    greedy_schedule,
+    _best_transmit_mask,
     lower_bound_rounds,
     run_broadcast,
 )
 from radionet.errors import InputError
 from radionet.instance import InstanceParams, build_radius2, sample_instance
-from radionet.model import BipartiteRadioNet, Receiver, round_step
+from radionet.model import BipartiteRadioNet, Receiver, TransmitSet, round_step
 from radionet.verifier import max_receptions_exact
 
 
@@ -38,7 +37,7 @@ def skewed_core():
 
 
 def test_gf2_basis_rank():
-    basis = GF2Basis(3)
+    basis = GF2Basis()
     assert basis.rank == 0
     assert basis.insert(0b101)
     assert basis.insert(0b011)
@@ -49,7 +48,7 @@ def test_gf2_basis_rank():
 
 def test_gf2_basis_unit_vectors_reach_full_rank():
     k = 6
-    basis = GF2Basis(k)
+    basis = GF2Basis()
     for m in range(k):
         assert basis.insert(1 << m)
     assert basis.rank == k
@@ -64,12 +63,6 @@ def test_rank_monotone_and_bounded_per_reception():
         assert previous <= rank <= previous + 1
         previous = rank
     assert state.rank <= 4
-
-
-def test_decode_rank_requires_coding_model():
-    assert decode_rank(ReceiverState("coding", 2)) == 0
-    with pytest.raises(InputError):
-        decode_rank(ReceiverState("routing", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +102,6 @@ def test_config_validation():
         BroadcastConfig(k=1, policy="random_p", p=1.5)
     with pytest.raises(InputError):
         BroadcastConfig(k=1, policy="round_robin", p=0.5)  # p makes no sense here
-    cfg = BroadcastConfig(k=2, packet_bits=12)
-    assert cfg.message_bits == 12  # messages are exactly one packet
 
 
 def test_packet_bits_must_cover_node_ids():
@@ -225,36 +216,32 @@ def test_coding_never_loses_to_round_robin_routing_on_toys():
 
 
 def test_greedy_schedule_toy_first_set():
-    schedule = greedy_schedule(skewed_core(), horizon=4)
-    assert schedule, "toy net needs at least one round"
-    first = schedule[0]
-    assert first.members() == (0,)  # sender a reaches both receivers
-    outcome = round_step(skewed_core(), first)
+    mask = _best_transmit_mask(skewed_core(), {0, 1})
+    assert mask == 0b01  # sender a reaches both receivers
+    outcome = round_step(skewed_core(), TransmitSet(2, mask))
     assert outcome.reception_count == 2
 
 
 def test_greedy_schedule_empty_when_satisfied():
-    assert greedy_schedule(skewed_core(), horizon=4, needs=()) == []
+    assert _best_transmit_mask(skewed_core(), set()) == 0
+    # Once every receiver has decoded, the policy plays no further round.
+    net = build_radius2(skewed_core(), 5)
+    report = run_broadcast(net, BroadcastConfig(k=1, policy="greedy_schedule"))
+    assert report.rounds_used == 2  # the source round and one greedy round
 
 
 def test_greedy_schedule_rounds_bounded_by_exact_maximum():
     for seed in (0, 1):
-        net = sample_instance(InstanceParams(64, seed=seed))
-        limit = max_receptions_exact(net).best_count
-        for transmit in greedy_schedule(net, horizon=32):
-            assert round_step(net, transmit).reception_count <= limit
+        core = sample_instance(InstanceParams(64, seed=seed))
+        limit = max_receptions_exact(core).best_count
+        for model in ("routing", "coding"):
+            cfg = BroadcastConfig(k=4, content_model=model, policy="greedy_schedule", seed=seed)
+            report = run_broadcast(build_radius2(core, 64), cfg)
+            assert all(hits <= limit for _, hits, _ in report.series)
 
 
 def test_greedy_schedule_serves_everyone():
-    net = sample_instance(InstanceParams(64, seed=5))
-    schedule = greedy_schedule(net, horizon=64)
-    waiting = set(range(net.receiver_count))
-    for transmit in schedule:
-        outcome = round_step(net, transmit)
-        waiting -= {r for r in range(net.receiver_count) if outcome.received[r]}
-    assert not waiting
-
-
-def test_greedy_schedule_rejects_bad_needs():
-    with pytest.raises(InputError):
-        greedy_schedule(skewed_core(), horizon=2, needs=(9,))
+    net = build_radius2(sample_instance(InstanceParams(64, seed=5)), 64)
+    report = run_broadcast(net, BroadcastConfig(k=1, policy="greedy_schedule"))
+    assert not report.incomplete
+    assert all(report.per_receiver_decoded)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from radionet.cli import dispatch
 from radionet.model import load, validate
 
@@ -167,3 +169,55 @@ def test_report_rejects_foreign_artifact(tmp_path):
     alien = tmp_path / "alien.json"
     alien.write_text(json.dumps({"schema_version": 1, "surprise": True}))
     assert dispatch(["report", str(alien)]) == 3
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"radionet v1 1 1\n1 0 0\n",  # sender listed twice
+        b"radionet v1 1 1\n1 0 -1\n",  # negative sender id
+        b"radionet v1 2 1\n1 1 0\n",  # neighbors out of order
+        b"radionet v1 2 1\n1 0 1\nradius2 x 0\n",  # non-integer footer
+        b"radionet v1 2 -1\n",  # negative receiver count
+        b"radionet v1 1 1\n1 \xff\n",  # not UTF-8
+    ],
+    ids=["duplicate", "negative-id", "unsorted", "footer-not-integer", "negative-count",
+         "not-utf8"],
+)
+def test_verify_rejects_malformed_net(tmp_path, capsys, content):
+    net = tmp_path / "bad.net"
+    net.write_bytes(content)
+    assert dispatch(["verify", "--net", str(net), "--exact"]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
+def test_verify_accepts_degree_off_class(tmp_path):
+    net = tmp_path / "odd.net"
+    net.write_text("radionet v1 3 1\n1 0 1 2\n")  # class 1, degree 3
+    out = tmp_path / "v.json"
+    run_ok(["verify", "--net", str(net), "--exact", "--out", str(out)])
+    assert json.loads(out.read_text())["best_count"] == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"schema_version": 1, ', b"[1, 2]", b'{"schema_version": 1, "n": "\xff"}'],
+    ids=["truncated", "not-an-object", "not-utf8"],
+)
+def test_report_rejects_malformed_json(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert dispatch(["report", str(bad)]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
+def test_search_counts_past_255_neighbors_of_one_receiver(tmp_path):
+    # One receiver hears all 600 senders, so a random start covers more than
+    # 255 of its neighbors; its counter must hold that.
+    net = tmp_path / "wide.net"
+    net.write_text("radionet v1 600 1\n9 " + " ".join(map(str, range(600))) + "\n")
+    out = tmp_path / "v.json"
+    run_ok(["verify", "--net", str(net), "--search", "--restarts", "1", "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert data["best_count"] == 1
+    assert data["witness_hex"] == "1"

@@ -5,7 +5,6 @@ from radionet.instance import (
     InstanceParams,
     _receiver_neighbors,
     build_radius2,
-    family_size_check,
     sample_instance,
 )
 from radionet.model import dumps, validate
@@ -116,19 +115,3 @@ def test_build_radius2_boundary_and_error():
     assert tight.void_count == 0
     with pytest.raises(InputError):
         build_radius2(core, 80)
-
-
-def test_family_size_check():
-    report = family_size_check(InstanceParams(256))
-    assert report.node_count == 80
-    assert report.passed
-    assert not report.small_n_exception
-
-    tiny = family_size_check(InstanceParams(4))
-    assert tiny.node_count == 4
-    assert not tiny.passed  # 4 < 4 fails; documented small-n exception
-    assert tiny.small_n_exception
-
-    big = family_size_check(InstanceParams(4096))
-    assert big.node_count == 448
-    assert big.passed
