@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import InputError
 from .model import BipartiteRadioNet, Radius2Net, TransmitSet, round_step, sole_sender
 from .util import derive_rng
@@ -168,35 +170,27 @@ def lower_bound_rounds(k: int, receiver_count: int, maxrec: int) -> Union[int, f
 def _best_transmit_mask(net: BipartiteRadioNet, waiting: set[int]) -> int:
     """Steepest-ascent transmit set maximizing receptions among waiting receivers.
 
-    Climbs from the empty set over sender adjacency restricted to the waiting
+    Climbs from the empty set over the incidence columns of the waiting
     receivers, so the result is deterministic. Every flip gains at least one
     reception, so receiver_count flips always suffice.
     """
-    sender_adj = [[r for r in adj if r in waiting] for adj in net.sender_to_receivers]
-    mask, _, _ = climb(sender_adj, [0] * net.receiver_count, 0, net.receiver_count)
+    incidence = net.incidence[:, sorted(waiting)]
+    counters = np.zeros(incidence.shape[1], dtype=np.int64)
+    mask, _, _ = climb(incidence, counters, 0, net.receiver_count)
     return mask
 
 
-def _span_sample(vectors: list[int], rng) -> int:
-    """Uniform nonzero element of the GF(2) span of `vectors`.
+def _span_sample(k: int, rng) -> int:
+    """Uniform nonzero element of the span of the k unit vectors, GF(2)^k.
 
-    XOR of a uniform random subset is uniform over the span; zero draws are
-    rejected because an all-zero packet carries nothing.
+    A uniform random subset of the unit vectors is a uniform k-bit mask;
+    zero draws are rejected because an all-zero packet carries nothing.
     """
-    if not vectors:
-        return 0
     for _ in range(128):
-        pick = rng.getrandbits(len(vectors))
-        combined = 0
-        i = 0
-        while pick:
-            if pick & 1:
-                combined ^= vectors[i]
-            pick >>= 1
-            i += 1
-        if combined:
-            return combined
-    return 0  # span is {0}; nothing useful to send
+        pick = rng.getrandbits(k)
+        if pick:
+            return pick
+    return 0  # only reachable with vanishing probability; nothing to send
 
 
 def run_broadcast(
@@ -204,10 +198,14 @@ def run_broadcast(
 ) -> BroadcastReport:
     """Simulate k-message broadcast until every receiver decodes, or the cap.
 
-    Rounds are evaluated with the real collision semantics (round_step);
-    packets received by senders become their knowledge, and receivers
-    accumulate ids or coefficient vectors. Deterministic given (net, cfg).
-    Pass a precomputed `maxrec` to skip the per-run maximization.
+    The source phase plays no round: the source alone transmits one message
+    (or unit coefficient vector) per round, so every sender hears it and no
+    receiver can. After it every sender holds all k messages, or the cap has
+    ended the run. Each policy round is then evaluated with the real
+    collision semantics (round_step) on the bipartite core, where receivers
+    accumulate ids or coefficient vectors. The minimum decoded dimension is
+    kept incrementally, since ranks never fall. Deterministic given
+    (net, cfg). Pass a precomputed `maxrec` to skip the per-run maximization.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
@@ -249,83 +247,55 @@ def run_broadcast(
 
     n_senders = core.sender_count
     coding = cfg.content_model == "coding"
-    receiver_base = net.receiver_node(0)
-    sender_known: list[set[int]] = [set() for _ in range(n_senders)]
-    sender_vectors: list[list[int]] = [[] for _ in range(n_senders)]
+    waiting = set(range(receiver_count))
+    rounds = min(k, cfg.max_rounds) if waiting else 0  # the source phase
+    series: list[tuple[int, int, int]] = [(r, 0, 0) for r in range(1, rounds + 1)]
+    rank_counts = [receiver_count] + [0] * k  # receivers at each rank
+    min_rank = 0
     message_cursor = [0] * n_senders  # per-sender cycle position (routing)
-    waiting = {r for r in range(receiver_count) if not states[r].decoded}
-    series: list[tuple[int, int, int]] = []
-    rounds = 0
 
-    def play_round(node_mask: int, payloads: dict[int, int]) -> None:
-        nonlocal rounds
-        rounds += 1
-        outcome = round_step(net, TransmitSet(n_nodes, node_mask))
-        hits = 0
-        for node, got in enumerate(outcome.received):
-            if not got:
-                continue
-            payload = payloads[outcome.source_of[node]]
-            if 1 <= node <= n_senders:
-                j = node - 1
-                sender_known[j].add(payload)
-                sender_vectors[j].append(payload)
-            elif receiver_base <= node < receiver_base + receiver_count:
-                r = node - receiver_base
-                states[r].receive(payload)
-                hits += 1
-                if r in waiting and states[r].decoded:
-                    waiting.discard(r)
-        min_rank = min((s.rank for s in states), default=0)
-        series.append((rounds, hits, min_rank))
-
-    # Source phase: one message (or unit coefficient vector) per round. Only
-    # the source transmits, so every sender hears exactly one neighbor.
-    for m in range(k):
-        if not waiting or rounds >= cfg.max_rounds:
-            break
-        payload = (1 << m) if coding else m
-        play_round(1 << net.SOURCE, {net.SOURCE: payload})
-
-    policy_round = 0
     while waiting and rounds < cfg.max_rounds:
-        policy_round += 1
         if cfg.policy == "round_robin":
-            j = (policy_round - 1) % n_senders
-            senders = [j]
+            mask = 1 << ((rounds - k) % n_senders)
         elif cfg.policy == "greedy_schedule":
             mask = _best_transmit_mask(core, waiting)
             if mask == 0:
                 break  # nobody reachable can still be helped
-            senders = [u for u in range(n_senders) if (mask >> u) & 1]
         else:  # random_p
             rng = derive_rng(cfg.seed, rounds + 1)
-            senders = [u for u in range(n_senders) if rng.random() < cfg.p]
-
-        payloads: dict[int, int] = {}
+            mask = sum(1 << u for u in range(n_senders) if rng.random() < cfg.p)
+        rounds += 1
+        senders = TransmitSet(n_senders, mask)
         if coding:
-            rng = derive_rng(cfg.seed, rounds + 1, 1)
-            for u in senders:
-                payloads[net.sender_node(u)] = _span_sample(sender_vectors[u], rng)
+            rng = derive_rng(cfg.seed, rounds, 1)
+            payloads = {u: _span_sample(k, rng) for u in senders.members()}
         elif cfg.policy == "greedy_schedule":
             payloads = _greedy_message_choice(core, states, waiting, mask, k)
-            payloads = {net.sender_node(u): msg for u, msg in payloads.items()}
         else:
-            for u in senders:
-                msg = message_cursor[u] % k
+            payloads = {}
+            for u in senders.members():
+                payloads[u] = message_cursor[u] % k
                 message_cursor[u] += 1
-                assert msg in sender_known[u]
-                payloads[net.sender_node(u)] = msg
 
-        node_mask = 0
-        for u in senders:
-            node_mask |= 1 << net.sender_node(u)
-        if node_mask == 0:
-            rounds += 1  # an empty random_p round still costs time
-            min_rank = min((s.rank for s in states), default=0)
-            series.append((rounds, 0, min_rank))
-            continue
-        play_round(node_mask, payloads)
+        hits = 0
+        if mask:  # an empty random_p round still costs time
+            outcome = round_step(core, senders)
+            for r, u in enumerate(outcome.source_of):
+                if u is None:
+                    continue
+                hits += 1
+                state = states[r]
+                before = state.rank
+                state.receive(payloads[u])
+                after = state.rank
+                if after != before:
+                    rank_counts[before] -= 1
+                    rank_counts[after] += 1
+                    if after >= k:
+                        waiting.discard(r)
+            while min_rank < k and not rank_counts[min_rank]:
+                min_rank += 1
+        series.append((rounds, hits, min_rank))
 
     receptions = tuple(s.receptions for s in states)
     decoded = tuple(s.decoded for s in states)

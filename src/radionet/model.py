@@ -7,10 +7,10 @@ nothing; a transmitting node never receives.
 
 Two graph shapes are supported. `BipartiteRadioNet` holds senders on one
 side and class-structured receivers on the other, with adjacency stored
-receiver-side only (sender-side lists are derived on demand and cached).
-`Radius2Net` wraps a bipartite core with a single source node attached to
-every sender plus optional degree-1 void nodes, giving a connected network
-of radius 2.
+receiver-side only (the sender-side incidence matrix is derived on demand
+and cached). `Radius2Net` wraps a bipartite core with a single source node
+attached to every sender plus optional degree-1 void nodes, giving a
+connected network of radius 2.
 
 Both shapes cache one neighbor bit mask per listening node, and every
 exactly-one test in the package works on those masks: a node with mask m
@@ -78,14 +78,16 @@ class BipartiteRadioNet:
         return len(self.receivers)
 
     @cached_property
-    def sender_to_receivers(self) -> tuple[tuple[int, ...], ...]:
-        """Receiver indices adjacent to each sender (derived, cached, immutable)."""
-        lists: list[list[int]] = [[] for _ in range(self.sender_count)]
+    def incidence(self) -> np.ndarray:
+        """Senders x receivers 0/1 matrix: entry (u, r) is 1 iff u is a neighbor of r.
+
+        Derived, cached and read-only, like the neighbor masks.
+        """
+        matrix = np.zeros((self.sender_count, self.receiver_count), dtype=np.int8)
         for idx, receiver in enumerate(self.receivers):
-            for u in receiver.neighbors:
-                if 0 <= u < self.sender_count:
-                    lists[u].append(idx)
-        return tuple(tuple(l) for l in lists)
+            matrix[list(receiver.neighbors), idx] = 1
+        matrix.setflags(write=False)
+        return matrix
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -267,7 +269,9 @@ def radius(net: Radius2Net) -> Union[int, float]:
     """Graph radius: minimum over nodes of eccentricity, by BFS layering.
 
     Returns math.inf when the graph is disconnected (infinite eccentricity
-    as the error value).
+    as the error value). The search stops once an eccentricity meets the
+    degree floor: 1 if some node is adjacent to all others, else 2. On a
+    generated wrapper the source, node 0, meets it with a single BFS.
     """
     adjacency = net.adjacency
     n = len(adjacency)
@@ -279,6 +283,7 @@ def radius(net: Radius2Net) -> Union[int, float]:
     indices = np.fromiter(
         (u for nbrs in adjacency for u in nbrs), dtype=np.int64, count=int(indptr[-1])
     )
+    floor = 1 if max(len(nbrs) for nbrs in adjacency) == n - 1 else 2
     best: Union[int, float] = math.inf
     for start in range(n):
         ecc = _eccentricity(indptr, indices, n, start)
@@ -286,7 +291,7 @@ def radius(net: Radius2Net) -> Union[int, float]:
             return math.inf
         if ecc < best:
             best = ecc
-            if best <= 1:  # nothing beats eccentricity 1 on a multi-node graph
+            if best <= floor:  # no node can do better
                 break
     return int(best)
 

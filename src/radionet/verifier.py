@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,6 +29,14 @@ ENUMERATION_BUDGET_BITS = 26
 
 #: Candidate transmit sets evaluated per numpy pass of exhaustive enumeration.
 CHUNK_BITS = 14
+
+#: Fewest senders for which exact enumeration starts a process pool. Below
+#: this the spawn start-up of the workers costs more than the split saves.
+POOL_MIN_SENDERS = 24
+
+#: Flip gain weights indexed by a receiver's transmitting-neighbor count
+#: (clipped at 3): column 0 for a sender turning on, column 1 turning off.
+_FLIP_WEIGHTS = np.array([[1, 0], [-1, -1], [0, 1], [0, 0]], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,7 @@ def max_receptions_exact(net: BipartiteRadioNet, workers: int = 1) -> MaxRecepti
         raise InputError("workers must be at least 1")
     masks = net.neighbor_masks
 
-    if workers == 1 or n_prime < 8:
+    if workers == 1 or n_prime < POOL_MIN_SENDERS:
         best, best_mask = _enumerate_block(masks, n_prime, 0)
     else:
         # Partition on the 4 high-order bits; each block enumerates the rest.
@@ -109,49 +117,43 @@ def _enumerate_block_star(args) -> tuple[int, int]:
     return _enumerate_block(*args)
 
 
+def _members(mask: int, width: int) -> np.ndarray:
+    """The bits of `mask` as a 0/1 int64 vector of length `width`."""
+    return np.array([(mask >> u) & 1 for u in range(width)], dtype=np.int64)
+
+
 def climb(
-    sender_adj: Sequence[Sequence[int]], counters: list[int], mask: int, flips: int
+    incidence: np.ndarray, counters: np.ndarray, mask: int, flips: int
 ) -> tuple[int, int, int]:
     """Steepest-ascent single-sender flips from `mask`, the one climb of the package.
 
-    `sender_adj[u]` lists the receivers that count for sender u and
-    `counters[r]` the transmitting neighbors of receiver r under `mask`;
-    the counters are updated in place. Each step applies the flip with the
-    largest positive gain in receivers at exactly one (smallest sender index
-    on ties), until none improves or `flips` are spent. Returns the final
-    mask, the flips left and the number of scans made.
+    `incidence` is a senders x receivers 0/1 matrix of the receivers that
+    count and `counters[r]` the transmitting neighbors of receiver r under
+    `mask`; the int64 counters are updated in place. Each step applies the
+    flip with the largest positive gain in receivers at exactly one
+    (smallest sender index on ties), until none improves or `flips` are
+    spent. All gains of a step are one product `incidence @ w`, with w per
+    receiver (c==0)-(c==1) for a sender turning on and (c==2)-(c==1) for
+    one turning off. Returns the final mask, the flips left and the number
+    of scans made.
     """
+    matrix = incidence.astype(np.float64)  # float products run through BLAS
+    on = _members(mask, len(incidence)).astype(bool)
     scans = 0
     while flips > 0:
-        best_gain = 0
-        best_flip = -1
-        for u, adj in enumerate(sender_adj):
-            gain = 0
-            if (mask >> u) & 1:
-                for r in adj:
-                    c = counters[r]
-                    if c == 1:
-                        gain -= 1
-                    elif c == 2:
-                        gain += 1
-            else:
-                for r in adj:
-                    c = counters[r]
-                    if c == 0:
-                        gain += 1
-                    elif c == 1:
-                        gain -= 1
-            if gain > best_gain:
-                best_gain = gain
-                best_flip = u
+        both = matrix @ _FLIP_WEIGHTS.take(counters, axis=0, mode="clip")
+        gains = np.where(on, both[:, 1], both[:, 0])
+        best_flip = int(gains.argmax())  # first maximum: the smallest index
         scans += 1
-        if best_flip < 0:
+        if gains[best_flip] <= 0:
             break
         flips -= 1
         mask ^= 1 << best_flip
-        step = 1 if (mask >> best_flip) & 1 else -1
-        for r in sender_adj[best_flip]:
-            counters[r] += step
+        on[best_flip] = not on[best_flip]
+        if on[best_flip]:
+            counters += incidence[best_flip]
+        else:
+            counters -= incidence[best_flip]
     return mask, flips, scans
 
 
@@ -191,10 +193,10 @@ def max_receptions_search(
     examined = 0
     flips_left = max_flips
     for start in starts:
-        counters = [(m & start).bit_count() for m in net.neighbor_masks]
-        mask, flips_left, scans = climb(net.sender_to_receivers, counters, start, flips_left)
+        counters = _members(start, n_prime) @ net.incidence
+        mask, flips_left, scans = climb(net.incidence, counters, start, flips_left)
         examined += 1 + scans * n_prime
-        total = counters.count(1)
+        total = int(np.count_nonzero(counters == 1))
         if total > best or (total == best and mask < best_mask):
             best = total
             best_mask = mask

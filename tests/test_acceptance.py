@@ -20,6 +20,7 @@ from radionet.analytic import (
     union_failure_bound,
 )
 from radionet.broadcast import BroadcastConfig, run_broadcast
+from radionet import verifier
 from radionet.cli import dispatch
 from radionet.instance import InstanceParams, build_radius2, sample_instance
 from radionet.model import radius
@@ -215,6 +216,9 @@ def test_criterion_09_broadcast_accounting():
 
 
 def test_criterion_10_pipeline_determinism(tmp_path, monkeypatch):
+    # 16 senders: lower the pool threshold so 4 workers really split the work.
+    monkeypatch.setattr(verifier, "POOL_MIN_SENDERS", 8)
+
     def pipeline(workdir, workers):
         workdir.mkdir()
         monkeypatch.chdir(workdir)

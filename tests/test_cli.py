@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -221,3 +222,38 @@ def test_search_counts_past_255_neighbors_of_one_receiver(tmp_path):
     data = json.loads(out.read_text())
     assert data["best_count"] == 1
     assert data["witness_hex"] == "1"
+
+
+#: sha256 of the n=256 simulate artifacts and series, recorded before the
+#: simulator moved onto the bipartite core; any change here is a behaviour change.
+PINNED_SIMULATE_DIGESTS = {
+    "round_robin-routing.json": "e1a91fea159627340a114a521eadc2ad32c4b0eaa11854eea632050208de0c5e",
+    "round_robin-routing.csv": "a22a7d56c2b8239e2d54f21803c58d1a92f61e155cb6146db6825571515d1fa6",
+    "round_robin-coding.json": "9b40983f8ba7cadb485ba77cb7e8ed6d9fd5868e4d9cafb26d3efe7217007c1b",
+    "round_robin-coding.csv": "397c8cb118589e785e25d0cb8ee2e62413245b9f0f53dd46a6446ab9045a850e",
+    "greedy_schedule-routing.json": "cb1a5e9e9ac51b4e173d95748c85028f86ebb7fdebf17bad2db30bb1413ca6c5",
+    "greedy_schedule-routing.csv": "a9a24a72820a2632dab50cd827cda2dd009351028cc6ffa8ddff52612a355686",
+    "greedy_schedule-coding.json": "5a5dd122d70e58eacdaa2c6b27d02cdbdebb98f67eabe11fe5f58d1c26ff4fb8",
+    "greedy_schedule-coding.csv": "f6edf7a326f69034ae8cbcb2be92eaf0fcebbda89be163f796ff8747d7e0775f",
+    "random_p-routing.json": "1449ef2cd7055ade32a5e4c176f5c2d5debd8ba8b6246913be3c3da336fb7b3b",
+    "random_p-routing.csv": "037f2e32a1a0d2484cf758ae68336bcbc2fa332a9d88cba894ac7d8ca3c9ece1",
+    "random_p-coding.json": "c9c60273649a990f8a4c9ee4a3c013fdb3d05b47018ce64b5ad91adad99ee9af",
+    "random_p-coding.csv": "c0bf62aacc07497de970be603b818e3393dfe23454151395d31a0de73368ceb8",
+}
+
+
+def test_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # artifacts record the net path as given
+    run_ok(["gen", "--n", "256", "--seed", "5", "--out", "g.net", "--radius2"])
+    for policy, extra in (("round_robin", []), ("greedy_schedule", []), ("random_p", ["--p", "0.0625"])):
+        for model in ("routing", "coding"):
+            stem = f"{policy}-{model}"
+            run_ok(
+                ["simulate", "--net", "g.net", "--k", "16", "--policy", policy, "--model", model,
+                 "--seed", "3", *extra, "--out", f"{stem}.json", "--series", f"{stem}.csv"]
+            )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_SIMULATE_DIGESTS
+    }
+    assert digests == PINNED_SIMULATE_DIGESTS

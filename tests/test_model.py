@@ -184,6 +184,8 @@ def test_loads_rejects_malformed_input():
         loads("radionet v1 2 1\n0 0\nradius2 99 1\n")  # inconsistent footer
 
 
-def test_sender_to_receivers_derived_lists():
+def test_incidence_derived_matrix():
     net = toy_net()
-    assert net.sender_to_receivers == ((0, 1), (1,))
+    assert net.incidence.tolist() == [[1, 1], [0, 1]]
+    with pytest.raises(ValueError):
+        net.incidence[0, 0] = 0  # cached and shared: read-only

@@ -6,6 +6,7 @@ import pytest
 
 from radionet.errors import BudgetError, InputError
 from radionet.instance import InstanceParams, sample_instance
+from radionet import verifier
 from radionet.model import BipartiteRadioNet, Receiver, TransmitSet, round_step
 from radionet.verifier import (
     check_lemma_threshold,
@@ -55,7 +56,9 @@ def test_exact_witness_reproduces_best_count():
         assert outcome.reception_count == result.best_count
 
 
-def test_exact_identical_across_worker_counts():
+def test_exact_identical_across_worker_counts(monkeypatch):
+    # 16 senders: lower the pool threshold so the block partition really runs.
+    monkeypatch.setattr(verifier, "POOL_MIN_SENDERS", 8)
     net = sample_instance(InstanceParams(256, seed=17))
     single = max_receptions_exact(net, workers=1)
     for workers in (2, 4):
