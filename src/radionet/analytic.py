@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from .errors import InputError
 
@@ -165,6 +166,56 @@ class BoundChainReport:
     passed: bool
 
 
+#: Labels of the bound chain's expressions, in chain order.
+_CHAIN_LABELS = (
+    "exact_hypergeometric",
+    "single_factor_power",
+    "exponential_form",
+    "factored_exponential",
+    "final_envelope",
+)
+
+
+def _chain_cell(
+    n_prime: int, s: int, delta: int, comb_rest: int, comb_all: int, power_rest: int, power_all: int
+) -> tuple[int, int, tuple[float, ...], bool]:
+    """One cell of the bound chain from its integer inputs: the one comparison kernel.
+
+    Takes comb_rest = C(n'-s, delta-1), comb_all = C(n', delta),
+    power_rest = (n'-s)**(delta-1) and power_all = (n'-1)**(delta-1), so the
+    exact value is s*comb_rest/comb_all and the single-factor power form
+    s*delta*power_rest/(n'*power_all). Those two are compared by
+    cross-multiplying integers. Int/int true division is correctly rounded,
+    so each float equals float() of the same rational. Returns p_delta in
+    lowest terms (numerator, denominator), the chain's values in the order
+    of _CHAIN_LABELS, and whether every value is bounded by the next.
+    """
+    numerator = s * comb_rest
+    common = math.gcd(numerator, comb_all)
+    numerator //= common
+    denominator = comb_all // common
+    power_num = s * delta * power_rest
+    power_den = n_prime * power_all
+    power_f = power_num / power_den
+
+    base = s * delta / n_prime
+    shrink = (s - 1) * (delta - 1)
+    exp_form = base * math.exp(-(shrink / (n_prime - 1)) if shrink else 0.0)
+    # Same number as (s*delta/n')*exp(-s*delta/n')*exp((s+delta-1)/n'),
+    # computed from the collapsed exponent for stability.
+    factored_form = base * math.exp(-shrink / n_prime)
+    envelope = math.e * base * math.exp(-base)
+
+    passed = (
+        numerator * power_den <= power_num * denominator
+        and power_f <= exp_form * (1.0 + _CHAIN_EPS)
+        and exp_form <= factored_form * (1.0 + _CHAIN_EPS)
+        and factored_form <= envelope * (1.0 + _CHAIN_EPS)
+    )
+    values = (numerator / denominator, power_f, exp_form, factored_form, envelope)
+    return numerator, denominator, values, passed
+
+
 def certify_chain(n_prime: int, s: int, delta: int) -> BoundChainReport:
     """Evaluate the five-expression bound chain and check it is monotone.
 
@@ -183,41 +234,42 @@ def certify_chain(n_prime: int, s: int, delta: int) -> BoundChainReport:
         raise InputError("s must be at least 1")
     if not 1 <= delta <= n_prime - s + 1:
         raise InputError(f"delta={delta} outside [1, {n_prime - s + 1}]")
-
-    exact = p_delta(n_prime, s, delta)
-    base_exact = Fraction(s * delta, n_prime)
-    if delta == 1:
-        power_form = base_exact
-    else:
-        power_form = base_exact * Fraction(n_prime - s, n_prime - 1) ** (delta - 1)
-
-    base = s * delta / n_prime
-    shrink = (s - 1) * (delta - 1)
-    exp_form = base * math.exp(-(shrink / (n_prime - 1)) if shrink else 0.0)
-    # Same number as (s*delta/n')*exp(-s*delta/n')*exp((s+delta-1)/n'),
-    # computed from the collapsed exponent for stability.
-    factored_form = base * math.exp(-shrink / n_prime)
-    envelope = math.e * base * math.exp(-base)
-
-    ok = exact <= power_form
-    power_f = float(power_form)
-    ok = ok and power_f <= exp_form * (1.0 + _CHAIN_EPS)
-    ok = ok and exp_form <= factored_form * (1.0 + _CHAIN_EPS)
-    ok = ok and factored_form <= envelope * (1.0 + _CHAIN_EPS)
-
-    steps = (
-        ("exact_hypergeometric", float(exact)),
-        ("single_factor_power", power_f),
-        ("exponential_form", exp_form),
-        ("factored_exponential", factored_form),
-        ("final_envelope", envelope),
+    numerator, denominator, values, passed = _chain_cell(
+        n_prime, s, delta, comb(n_prime - s, delta - 1), comb(n_prime, delta),
+        (n_prime - s) ** (delta - 1), (n_prime - 1) ** (delta - 1),
     )
     return BoundChainReport(
         n_prime=n_prime,
         s=s,
         delta=delta,
         delta_star=delta_star(n_prime, s),
-        exact=exact,
-        steps=steps,
-        passed=bool(ok),
+        exact=Fraction(numerator, denominator),
+        steps=tuple(zip(_CHAIN_LABELS, values)),
+        passed=passed,
     )
+
+
+def chain_grid(n_prime: int) -> Iterator[tuple[int, int, int, int, tuple[float, ...], bool]]:
+    """Every cell of the bound chain for `n_prime` senders, s-major then delta.
+
+    Yields (s, delta, numerator, denominator, values, passed), the same
+    numbers certify_chain(n_prime, s, delta) reports, for 1 <= s <= n' and
+    1 <= delta <= n'-s+1. The kernel's binomials and powers come from
+    recurrences along delta rather than fresh products per cell.
+    """
+    if n_prime < 1:
+        raise InputError("n_prime must be a positive integer")
+    combs_all, powers_all = [], []  # C(n', delta) and (n'-1)**(delta-1)
+    comb_all, power_all = 1, 1
+    for delta in range(1, n_prime + 1):
+        comb_all = comb_all * (n_prime - delta + 1) // delta
+        combs_all.append(comb_all)
+        powers_all.append(power_all)
+        power_all *= n_prime - 1
+    for s in range(1, n_prime + 1):
+        rest = n_prime - s
+        comb_rest, power_rest = 1, 1  # C(rest, delta-1) and rest**(delta-1)
+        for delta, comb_all, power_all in zip(range(1, rest + 2), combs_all, powers_all):
+            yield s, delta, *_chain_cell(n_prime, s, delta, comb_rest, comb_all, power_rest, power_all)
+            comb_rest = comb_rest * (rest - delta + 1) // delta
+            power_rest *= rest

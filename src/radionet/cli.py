@@ -10,14 +10,18 @@ error, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator, Optional
 
 from . import __version__
-from .analytic import certify_chain, expected_receivers, expected_receivers_upper
+# certify_chain stays a module attribute here: the benchmark's tracer
+# (perfbench/spans.py) wraps it by name.
+from .analytic import certify_chain, chain_grid, expected_receivers, expected_receivers_upper
 from .broadcast import BroadcastConfig, run_broadcast
 from .errors import BudgetError, InputError
 from .instance import InstanceParams, build_radius2, sample_instance
@@ -46,7 +50,7 @@ def dispatch(argv: list[str]) -> int:
     except BudgetError as exc:
         _emit_error(exc, "budget")
         return 4
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         _emit_error(exc, "input")
         return 3
 
@@ -67,15 +71,16 @@ def _write_json(path, artifact: dict) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path, config: dict, header: str, rows: list[str]) -> None:
+def _write_csv(path, config: dict, header: str, rows: Iterable[str]) -> None:
+    """Write the banner, the header and `rows`, one line each, as rows arrive."""
     banner = f"# {_tool_line()} schema={SCHEMA_VERSION} config=" + json.dumps(
         config, sort_keys=True, separators=(",", ":")
     )
-    text = "\n".join([banner, header, *rows]) + "\n"
+    lines = (f"{line}\n" for line in itertools.chain((banner, header), rows))
     if path:
-        atomic_write_text(path, text)
+        atomic_write_text(path, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _workers() -> int:
@@ -140,7 +145,16 @@ def _cmd_analyze(args) -> None:
         if power >= lo and power >= 2:
             sizes.append(power)
         power *= 2
-    rows = []
+    _write_csv(
+        args.out,
+        {"grid_nprime": args.grid_nprime},
+        "n_prime,s,delta,p_exact_num,p_exact_den,p_upper,chain_pass",
+        _analyze_rows(sizes),
+    )
+
+
+def _analyze_rows(sizes: list[int]) -> Iterator[str]:
+    """Check the expectation cap at each size, then yield its bound-chain rows."""
     for n_prime in sizes:
         cap = 10 * n_prime
         for s in range(0, n_prime + 1):
@@ -151,20 +165,11 @@ def _cmd_analyze(args) -> None:
                 upper = expected_receivers_upper(n_prime, s)
                 if not mean <= upper:
                     raise ArithmeticError(f"exact {mean} above envelope {upper} at ({n_prime},{s})")
-        for s in range(1, n_prime + 1):
-            for delta in range(1, n_prime - s + 2):
-                report = certify_chain(n_prime, s, delta)
-                envelope = report.steps[-1][1]
-                rows.append(
-                    f"{n_prime},{s},{delta},{report.exact.numerator},"
-                    f"{report.exact.denominator},{envelope!r},{str(report.passed).lower()}"
-                )
-    _write_csv(
-        args.out,
-        {"grid_nprime": args.grid_nprime},
-        "n_prime,s,delta,p_exact_num,p_exact_den,p_upper,chain_pass",
-        rows,
-    )
+        for s, delta, numerator, denominator, values, passed in chain_grid(n_prime):
+            yield (
+                f"{n_prime},{s},{delta},{numerator},{denominator},{values[-1]!r},"
+                f"{'true' if passed else 'false'}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +177,20 @@ def _cmd_analyze(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _parse_threshold(raw: Optional[str]) -> Optional[Fraction]:
+    if raw is None:
+        return None
+    try:
+        threshold = Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad threshold {raw!r}; expected a number such as 20, 2.5 or 5/2") from exc
+    if threshold <= 0:
+        raise InputError(f"threshold factor c must be positive, got {raw!r}")
+    return threshold
+
+
 def _cmd_verify(args) -> None:
+    threshold = _parse_threshold(args.threshold)  # before the maximization, which can be long
     net = load_net(args.net)
     core = net.core if isinstance(net, Radius2Net) else net
     workers = _workers()
@@ -198,8 +216,8 @@ def _cmd_verify(args) -> None:
         "subsets_examined": result.subsets_examined,
         "witness_hex": result.witness.hex_mask,
     }
-    if args.threshold is not None:
-        report = check_lemma_threshold(core, Fraction(args.threshold), result=result)
+    if threshold is not None:
+        report = check_lemma_threshold(core, threshold, result=result)
         payload.update(
             {
                 "fraction": report.fraction,

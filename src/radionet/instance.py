@@ -11,6 +11,7 @@ degree-1 void nodes to pad the network to exactly n nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InputError
 from .model import BipartiteRadioNet, Radius2Net, Receiver
@@ -50,33 +51,44 @@ def _receiver_neighbors(seed: int, receiver_index: int, sender_count: int, degre
 
     Partial Fisher-Yates shuffle seeded from (seed, receiver_index) only, so
     every receiver can be regenerated independently of iteration order or
-    worker layout.
+    worker layout. Swap t takes its offset below width = sender_count - t
+    straight from getrandbits(width.bit_length()), redrawn while it is not
+    below width: the draw randrange(t, sender_count) makes on CPython 3.11,
+    so the stream, and every generated file, stays that of randrange.
     """
-    rng = derive_rng(seed, receiver_index)
+    getrandbits = derive_rng(seed, receiver_index).getrandbits
     pool = list(range(sender_count))
     for t in range(degree):
-        swap = rng.randrange(t, sender_count)
+        width = sender_count - t
+        bits = width.bit_length()
+        offset = getrandbits(bits)
+        while offset >= width:
+            offset = getrandbits(bits)
+        swap = t + offset
         pool[t], pool[swap] = pool[swap], pool[t]
     return tuple(sorted(pool[:degree]))
 
 
-def sample_instance(params: InstanceParams) -> BipartiteRadioNet:
-    """Draw one random instance; deterministic given the seed.
+def receiver_draws(params: InstanceParams) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(class_index, neighbors) of every receiver of the instance, in receiver order.
 
     Receivers are laid out class-major (all of class 1, then class 2, ...),
     and each one's neighbor set is an independent uniform 2**i-subset of the
     senders.
     """
     n_prime = params.n_prime
-    receivers = []
     index = 0
     for class_index in range(1, params.class_count + 1):
         degree = 1 << class_index
         for _ in range(n_prime):
-            neighbors = _receiver_neighbors(params.seed, index, n_prime, degree)
-            receivers.append(Receiver(class_index, neighbors))
+            yield class_index, _receiver_neighbors(params.seed, index, n_prime, degree)
             index += 1
-    return BipartiteRadioNet(n_prime, tuple(receivers), class_count=params.class_count)
+
+
+def sample_instance(params: InstanceParams) -> BipartiteRadioNet:
+    """Draw one random instance; deterministic given the seed (see receiver_draws)."""
+    receivers = tuple(Receiver(class_index, nbrs) for class_index, nbrs in receiver_draws(params))
+    return BipartiteRadioNet(params.n_prime, receivers, class_count=params.class_count)
 
 
 def build_radius2(core: BipartiteRadioNet, n: int) -> Radius2Net:

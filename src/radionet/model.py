@@ -92,10 +92,11 @@ class BipartiteRadioNet:
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Each receiver's senders as a bit mask: bit u is set iff u is a neighbor."""
-        return tuple(_bit_mask(r.neighbors) for r in self.receivers)
+        return tuple(bit_mask(r.neighbors) for r in self.receivers)
 
 
-def _bit_mask(ids: Iterable[int]) -> int:
+def bit_mask(ids: Iterable[int]) -> int:
+    """The ids as one bit mask: bit u is set iff u is in `ids`."""
     mask = 0
     for u in ids:
         mask |= 1 << u
@@ -172,7 +173,7 @@ class Radius2Net:
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Each node's neighbors as a bit mask over the node-id layout."""
-        return tuple(_bit_mask(nbrs) for nbrs in self.adjacency)
+        return tuple(bit_mask(nbrs) for nbrs in self.adjacency)
 
 
 RadioNet = Union[BipartiteRadioNet, Radius2Net]

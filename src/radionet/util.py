@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import tempfile
+from typing import Iterable, Union
 
 
 def derive_rng(seed: int, *path: int) -> random.Random:
@@ -26,17 +27,24 @@ def derive_rng(seed: int, *path: int) -> random.Random:
     return random.Random(key)
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
     """Write `text` to `path` via a temp file + rename.
 
-    Readers never observe a partially written artifact, and two concurrent
-    writers leave one complete file rather than an interleaving.
+    `text` is a string or an iterable of string chunks, written as they
+    arrive so that a long output is never held whole in memory. Readers
+    never observe a partially written artifact, and two concurrent writers
+    leave one complete file rather than an interleaving. If writing or
+    producing a chunk raises, the temp file is removed and `path` is left
+    as it was.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-radionet-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:

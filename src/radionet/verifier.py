@@ -20,8 +20,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .instance import InstanceParams, sample_instance
-from .model import BipartiteRadioNet, TransmitSet, round_step
+# sample_instance and round_step stay module attributes here: the
+# benchmark's tracer (perfbench/spans.py) wraps them by name.
+from .instance import InstanceParams, receiver_draws, sample_instance
+from .model import BipartiteRadioNet, TransmitSet, bit_mask, round_step, sole_sender
 from .util import derive_rng
 
 #: Exhaustive enumeration is capped at 2**26 subsets.
@@ -279,21 +281,25 @@ def monte_carlo_expectation(
 
     Each trial draws a new instance and transmits from the first `s`
     senders (any fixed s-set gives the same distribution, since neighbor
-    sets are exchangeable over senders). Returns the sample mean and its
-    standard error.
+    sets are exchangeable over senders). A trial draws its receivers'
+    neighbor sets with the instance generator and counts those that hear
+    exactly one transmitter; it builds no net. Returns the sample mean and
+    its standard error.
     """
     if not 0 <= s <= params.n_prime:
         raise InputError(f"s={s} outside [0, {params.n_prime}]")
     if trials < 1:
         raise InputError("trials must be positive")
-    transmitters = TransmitSet(params.n_prime, (1 << s) - 1)
+    transmitters = (1 << s) - 1
     rng = derive_rng(seed)
     total = 0.0
     total_sq = 0.0
     for _ in range(trials):
-        trial_seed = rng.getrandbits(64)
-        net = sample_instance(InstanceParams(params.n, trial_seed))
-        count = round_step(net, transmitters).reception_count
+        trial = InstanceParams(params.n, rng.getrandbits(64))
+        count = 0
+        for _, neighbors in receiver_draws(trial):
+            if sole_sender(bit_mask(neighbors), transmitters) is not None:
+                count += 1
         total += count
         total_sq += count * count
     mean = total / trials

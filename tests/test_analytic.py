@@ -9,6 +9,7 @@ import pytest
 
 from radionet.analytic import (
     certify_chain,
+    chain_grid,
     chernoff_tail,
     delta_star,
     expected_receivers,
@@ -220,3 +221,30 @@ def test_certify_chain_rejects_invalid_domain():
         certify_chain(8, 0, 1)
     with pytest.raises(InputError):
         certify_chain(8, 4, 6)
+
+
+def test_chain_grid_equals_certify_chain_cell_by_cell():
+    for n_prime in range(1, 65):
+        cells = list(chain_grid(n_prime))
+        expected = [(s, d) for s in range(1, n_prime + 1) for d in range(1, n_prime - s + 2)]
+        assert [(s, d) for s, d, *_ in cells] == expected
+        for s, delta, numerator, denominator, values, passed in cells:
+            report = certify_chain(n_prime, s, delta)
+            assert Fraction(numerator, denominator) == report.exact
+            assert (numerator, denominator) == (report.exact.numerator, report.exact.denominator)
+            assert values == tuple(value for _, value in report.steps)
+            assert passed is report.passed
+
+
+def test_certify_chain_matches_rational_arithmetic():
+    # The chain's leading pair in Fraction arithmetic: the integer kernel must
+    # give the same exact value, the same float() of both and the same order.
+    for n_prime, s, delta in [(1, 1, 1), (2, 1, 2), (16, 4, 4), (64, 8, 8), (256, 200, 57),
+                              (256, 1, 256), (256, 255, 2), (300, 7, 123)]:
+        exact = Fraction(s * comb(n_prime - s, delta - 1), comb(n_prime, delta))
+        power = Fraction(s * delta, n_prime) * Fraction(n_prime - s, max(n_prime - 1, 1)) ** (delta - 1)
+        report = certify_chain(n_prime, s, delta)
+        assert report.exact == exact
+        assert report.steps[0][1] == float(exact)
+        assert report.steps[1][1] == float(power)
+        assert exact <= power

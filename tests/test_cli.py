@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from radionet.cli import dispatch
+from radionet.cli import _write_csv, dispatch
 from radionet.model import load, validate
 
 
@@ -70,6 +70,23 @@ def test_verify_missing_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "input"
 
 
+@pytest.mark.parametrize("threshold", ["abc", "inf", "1/0", "0", "-2"])
+def test_verify_rejects_bad_threshold_before_maximizing(tmp_path, capsys, threshold):
+    # 27 senders would exit 4 at the enumeration budget: the threshold is parsed first.
+    wide = tmp_path / "wide.net"
+    wide.write_text("radionet v1 27 0\n")
+    assert dispatch(["verify", "--net", str(wide), "--exact", "--threshold", threshold]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--net", "{dir}"], ["report", "{dir}"]], ids=["verify", "report"]
+)
+def test_directory_input_is_an_input_error(tmp_path, capsys, argv):
+    assert dispatch([arg.format(dir=tmp_path) for arg in argv]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
 def test_verify_budget_exceeded(tmp_path, capsys):
     wide = tmp_path / "wide.net"
     wide.write_text("radionet v1 27 0\n")
@@ -88,6 +105,41 @@ def test_analyze_grid_csv(tmp_path):
     assert all(row[6] == "true" for row in rows)
     sizes = {int(row[0]) for row in rows}
     assert sizes == {2, 4, 8}
+
+
+#: sha256 of `analyze --grid-nprime 2..256`, recorded before the bound chain
+#: moved to integer arithmetic; any change here is a behaviour change.
+PINNED_ANALYZE_DIGEST = "12105061d48b482c7f6369ac61a4e03d81fbb92fb3ddac9f97485275cea6a9af"
+
+
+def test_analyze_csv_matches_pinned_digest(tmp_path):
+    out = tmp_path / "chains.csv"
+    run_ok(["analyze", "--grid-nprime", "2..256", "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ANALYZE_DIGEST
+
+
+def test_analyze_to_stdout_equals_file(tmp_path, capsys):
+    out = tmp_path / "chains.csv"
+    run_ok(["analyze", "--grid-nprime", "2..16", "--out", str(out)])
+    run_ok(["analyze", "--grid-nprime", "2..16"])
+    assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_csv_rows_failing_midway_leave_no_file(tmp_path, existing):
+    target = tmp_path / "rows.csv"
+    if existing:
+        target.write_text("old\n")
+
+    def rows():
+        yield "1,2"
+        raise RuntimeError("row generator failed")
+
+    with pytest.raises(RuntimeError):
+        _write_csv(str(target), {}, "a,b", rows())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["rows.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"
 
 
 def test_analyze_rejects_bad_grid():

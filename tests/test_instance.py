@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radionet.errors import InputError
 from radionet.instance import (
@@ -115,3 +119,30 @@ def test_build_radius2_boundary_and_error():
     assert tight.void_count == 0
     with pytest.raises(InputError):
         build_radius2(core, 80)
+
+
+def randrange_neighbors(seed, receiver_index, sender_count, degree):
+    """Reference draw: the partial Fisher-Yates shuffle through randrange."""
+    rng = random.Random((seed << 64) | receiver_index)
+    pool = list(range(sender_count))
+    for t in range(degree):
+        swap = rng.randrange(t, sender_count)
+        pool[t], pool[swap] = pool[swap], pool[t]
+    return tuple(sorted(pool[:degree]))
+
+
+@st.composite
+def draws(draw):
+    sender_count = draw(st.integers(1, 300))
+    degree = draw(st.integers(0, sender_count))
+    return draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1)), sender_count, degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(draws())
+@example((0, 0, 1, 1))
+@example((7, 3, 3, 3))
+@example((5, 1, 300, 300))
+@example((11, 2, 129, 64))
+def test_receiver_neighbors_match_randrange(args):
+    assert _receiver_neighbors(*args) == randrange_neighbors(*args)

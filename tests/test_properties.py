@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radionet.broadcast import GF2Basis, _best_transmit_mask
+from radionet.broadcast import BroadcastConfig, GF2Basis, _best_transmit_mask, run_broadcast
 from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
@@ -22,12 +22,12 @@ from radionet.verifier import climb, max_receptions_exact, max_receptions_search
 
 
 @st.composite
-def cores(draw, max_senders=12, min_receivers=0, max_receivers=10):
+def cores(draw, max_senders=12, min_receivers=0, max_receivers=10, min_degree=0):
     """Hand-built bipartite nets: any neighbor sets, degree unrelated to class."""
     senders = draw(st.integers(1, max_senders))
     neighbor_sets = draw(
         st.lists(
-            st.frozensets(st.integers(0, senders - 1)),
+            st.frozensets(st.integers(0, senders - 1), min_size=min_degree),
             min_size=min_receivers,
             max_size=max_receivers,
         )
@@ -266,3 +266,29 @@ def test_gf2_rank_matches_span_size(k, data):
         assert basis.insert(v) == (len(grown) > len(span))
         span = grown
         assert 1 << basis.rank == len(span)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cores(max_senders=8, min_receivers=1, max_receivers=8, min_degree=1),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_rounds_used_meet_the_exact_round_bound(core, voids, k, seed):
+    # Every receiver has a neighbor, so round_robin and greedy_schedule always
+    # finish; random_p may hit the cap, and a capped run proves nothing.
+    net = Radius2Net(core, voids)
+    maxrec, _ = brute_force_maximum(core)
+    bound = math.ceil(k * core.receiver_count / maxrec)
+    for policy, p in (("round_robin", None), ("greedy_schedule", None), ("random_p", 0.5)):
+        for model in ("routing", "coding"):
+            cfg = BroadcastConfig(k=k, content_model=model, policy=policy, p=p,
+                                  max_rounds=4000, seed=seed)
+            report = run_broadcast(net, cfg)
+            assert report.accounting_lower_bound == bound
+            assert all(hits <= maxrec for _, hits, _ in report.series)
+            if policy != "random_p":
+                assert not report.incomplete, (policy, model)
+            if not report.incomplete:
+                assert report.rounds_used >= bound, (policy, model)

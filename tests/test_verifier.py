@@ -8,6 +8,7 @@ from radionet.errors import BudgetError, InputError
 from radionet.instance import InstanceParams, sample_instance
 from radionet import verifier
 from radionet.model import BipartiteRadioNet, Receiver, TransmitSet, round_step
+from radionet.util import derive_rng
 from radionet.verifier import (
     check_lemma_threshold,
     max_receptions_exact,
@@ -179,3 +180,31 @@ def test_monte_carlo_validates_arguments():
         monte_carlo_expectation(InstanceParams(16), 5, trials=10)
     with pytest.raises(InputError):
         monte_carlo_expectation(InstanceParams(16), 1, trials=0)
+
+
+def monte_carlo_by_nets(params, s, trials, seed):
+    """Reference: build each trial's net and count one round_step."""
+    transmitters = TransmitSet(params.n_prime, (1 << s) - 1)
+    rng = derive_rng(seed)
+    total = total_sq = 0.0
+    for _ in range(trials):
+        net = sample_instance(InstanceParams(params.n, rng.getrandbits(64)))
+        count = round_step(net, transmitters).reception_count
+        total += count
+        total_sq += count * count
+    mean = total / trials
+    if trials > 1:
+        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        return mean, math.sqrt(variance / trials)
+    return mean, 0.0
+
+
+@pytest.mark.parametrize(
+    "n, s, trials, seed",
+    [(4, 1, 40, 0), (16, 2, 200, 5), (64, 3, 60, 9), (256, 5, 40, 77), (256, 16, 3, 1),
+     (1024, 7, 1, 4), (4096, 20, 2, 123)],
+)
+def test_monte_carlo_equals_net_building_reference(n, s, trials, seed):
+    estimate = monte_carlo_expectation(InstanceParams(n), s, trials, seed)
+    assert (estimate.mean, estimate.std_error) == monte_carlo_by_nets(InstanceParams(n), s, trials, seed)
+    assert estimate.trials == trials
