@@ -19,10 +19,6 @@ from typing import Iterator
 
 from .errors import InputError
 
-#: Exact probabilities are plain Fractions: arbitrary-precision integers,
-#: automatically in lowest terms.
-ExactProb = Fraction
-
 #: Relative slack for float-vs-float chain comparisons. Genuine violations
 #: would be macroscopic; this only absorbs last-ulp rounding at equality
 #: points of the chain.

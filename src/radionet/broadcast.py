@@ -5,21 +5,23 @@ Policies are centralized with full topology knowledge (strong baselines make
 the gap to the counting bound meaningful): a deterministic source phase
 pushes the k messages to the senders one per round, then senders relay under
 round_robin, greedy_schedule, or random_p scheduling. Content is either
-routing (packets carry message ids) or coding (packets carry GF(2)
-coefficient vectors; a receiver decodes at rank k). Message size equals
-packet size, so one reception accounts for exactly one message unit.
+routing (a packet carries one message id m, as the unit vector 1 << m) or
+coding (a packet carries any GF(2) coefficient vector). Routing is thus the
+special case of coding whose packets are unit vectors: every receiver keeps
+one GF(2) basis and decodes at rank k. Message size equals packet size, so
+one reception accounts for exactly one message unit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, TransmitSet, round_step, sole_sender
+from .model import BipartiteRadioNet, Radius2Net, TransmitSet, round_step
 from .util import derive_rng
 from .verifier import (
     ENUMERATION_BUDGET_BITS,
@@ -37,76 +39,39 @@ class GF2Basis:
 
     Insertion eliminates against existing pivots, so rank is maintained
     incrementally and never decreases; each insert raises it by at most 1.
+    `pivot_rows` maps each pivot (leading-bit position) to its row. A basis
+    built from unit vectors alone has the vectors as rows, so its pivots
+    are exactly the positions inserted.
     """
 
     def __init__(self):
-        self._pivot_rows: dict[int, int] = {}
+        self.pivot_rows: dict[int, int] = {}
 
     def insert(self, vector: int) -> bool:
         """Add a vector; True if it was independent of the basis."""
         v = vector
         while v:
             top = v.bit_length() - 1
-            row = self._pivot_rows.get(top)
+            row = self.pivot_rows.get(top)
             if row is None:
-                self._pivot_rows[top] = v
+                self.pivot_rows[top] = v
                 return True
             v ^= row
         return False
 
     @property
     def rank(self) -> int:
-        return len(self._pivot_rows)
-
-
-@dataclass
-class ReceiverState:
-    """What one receiver has accumulated: message ids or a coefficient basis."""
-
-    mode: str
-    k: int
-    ids: set[int] = field(default_factory=set)
-    basis: Optional[GF2Basis] = None
-    receptions: int = 0
-
-    def __post_init__(self):
-        if self.mode not in CONTENT_MODELS:
-            raise InputError(f"unknown content model {self.mode!r}")
-        if self.mode == "coding" and self.basis is None:
-            self.basis = GF2Basis()
-
-    def receive(self, payload: int) -> None:
-        self.receptions += 1
-        if self.mode == "routing":
-            self.ids.add(payload)
-        else:
-            self.basis.insert(payload)
-
-    @property
-    def rank(self) -> int:
-        """Decoded dimension: distinct ids held, or basis rank under coding."""
-        if self.mode == "routing":
-            return len(self.ids)
-        return self.basis.rank
-
-    @property
-    def decoded(self) -> bool:
-        return self.rank >= self.k
+        return len(self.pivot_rows)
 
 
 @dataclass(frozen=True)
 class BroadcastConfig:
-    """Run parameters for one broadcast simulation.
-
-    packet_bits defaults to ceil(log2(total_nodes)) at run time, the minimum
-    the model allows; message size is pinned to packet size.
-    """
+    """Run parameters for one broadcast simulation."""
 
     k: int
     content_model: str = "routing"
     policy: str = "round_robin"
     p: Optional[float] = None
-    packet_bits: Optional[int] = None
     max_rounds: int = 100_000
     seed: int = 0
 
@@ -122,8 +87,6 @@ class BroadcastConfig:
                 raise InputError("random_p requires a transmit probability 0 < p <= 1")
         elif self.p is not None:
             raise InputError(f"policy {self.policy} takes no probability p")
-        if self.packet_bits is not None and self.packet_bits < 1:
-            raise InputError("packet_bits must be positive")
         if self.max_rounds < 1:
             raise InputError("max_rounds must be positive")
         if not 0 <= self.seed < 2**64:
@@ -201,23 +164,16 @@ def run_broadcast(
     The source phase plays no round: the source alone transmits one message
     (or unit coefficient vector) per round, so every sender hears it and no
     receiver can. After it every sender holds all k messages, or the cap has
-    ended the run. Each policy round is then evaluated with the real
-    collision semantics (round_step) on the bipartite core, where receivers
-    accumulate ids or coefficient vectors. The minimum decoded dimension is
-    kept incrementally, since ranks never fall. Deterministic given
-    (net, cfg). Pass a precomputed `maxrec` to skip the per-run maximization.
+    ended the run. Each policy round is then evaluated once with the real
+    collision semantics (round_step) on the bipartite core, before the
+    payloads are chosen; each receiver inserts what it hears into its GF(2)
+    basis. The minimum decoded dimension is kept incrementally, since ranks
+    never fall. Deterministic given (net, cfg). Pass a precomputed `maxrec`
+    to skip the per-run maximization.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
     core = net.core
-    n_nodes = net.total_nodes
-    min_bits = max(1, (n_nodes - 1).bit_length())
-    packet_bits = cfg.packet_bits if cfg.packet_bits is not None else min_bits
-    if packet_bits < min_bits:
-        raise InputError(
-            f"packet_bits={packet_bits} below ceil(log2({n_nodes})) = {min_bits}"
-        )
-
     maxrec_method = "given"
     if maxrec is None:
         if core.sender_count <= ENUMERATION_BUDGET_BITS:
@@ -230,24 +186,11 @@ def run_broadcast(
     k = cfg.k
     receiver_count = core.receiver_count
     bound = lower_bound_rounds(k, receiver_count, maxrec)
-    states = [ReceiverState(cfg.content_model, k) for _ in range(receiver_count)]
-    if k == 0:
-        return BroadcastReport(
-            rounds_used=0,
-            incomplete=False,
-            per_receiver_receptions=(0,) * receiver_count,
-            per_receiver_decoded=(True,) * receiver_count,
-            total_receptions=0,
-            throughput=None,
-            accounting_lower_bound=bound,
-            maxrec=maxrec,
-            maxrec_method=maxrec_method,
-            series=(),
-        )
-
     n_senders = core.sender_count
     coding = cfg.content_model == "coding"
-    waiting = set(range(receiver_count))
+    bases = [GF2Basis() for _ in range(receiver_count)]
+    receptions = [0] * receiver_count
+    waiting = set(range(receiver_count)) if k else set()
     rounds = min(k, cfg.max_rounds) if waiting else 0  # the source phase
     series: list[tuple[int, int, int]] = [(r, 0, 0) for r in range(1, rounds + 1)]
     rank_counts = [receiver_count] + [0] * k  # receivers at each rank
@@ -265,45 +208,40 @@ def run_broadcast(
             rng = derive_rng(cfg.seed, rounds + 1)
             mask = sum(1 << u for u in range(n_senders) if rng.random() < cfg.p)
         rounds += 1
-        senders = TransmitSet(n_senders, mask)
-        if coding:
-            rng = derive_rng(cfg.seed, rounds, 1)
-            payloads = {u: _span_sample(k, rng) for u in senders.members()}
-        elif cfg.policy == "greedy_schedule":
-            payloads = _greedy_message_choice(core, states, waiting, mask, k)
-        else:
-            payloads = {}
-            for u in senders.members():
-                payloads[u] = message_cursor[u] % k
-                message_cursor[u] += 1
-
         hits = 0
         if mask:  # an empty random_p round still costs time
+            senders = TransmitSet(n_senders, mask)
             outcome = round_step(core, senders)
+            if coding:
+                rng = derive_rng(cfg.seed, rounds, 1)
+                payloads = {u: _span_sample(k, rng) for u in senders.members()}
+            elif cfg.policy == "greedy_schedule":
+                payloads = _greedy_message_choice(outcome.source_of, bases, k)
+            else:
+                payloads = {}
+                for u in senders.members():
+                    payloads[u] = 1 << (message_cursor[u] % k)
+                    message_cursor[u] += 1
             for r, u in enumerate(outcome.source_of):
                 if u is None:
                     continue
                 hits += 1
-                state = states[r]
-                before = state.rank
-                state.receive(payloads[u])
-                after = state.rank
-                if after != before:
-                    rank_counts[before] -= 1
-                    rank_counts[after] += 1
-                    if after >= k:
+                receptions[r] += 1
+                if bases[r].insert(payloads[u]):  # the rank rose by one
+                    rank = bases[r].rank
+                    rank_counts[rank - 1] -= 1
+                    rank_counts[rank] += 1
+                    if rank >= k:
                         waiting.discard(r)
             while min_rank < k and not rank_counts[min_rank]:
                 min_rank += 1
         series.append((rounds, hits, min_rank))
 
-    receptions = tuple(s.receptions for s in states)
-    decoded = tuple(s.decoded for s in states)
     return BroadcastReport(
         rounds_used=rounds,
         incomplete=bool(waiting),
-        per_receiver_receptions=receptions,
-        per_receiver_decoded=decoded,
+        per_receiver_receptions=tuple(receptions),
+        per_receiver_decoded=tuple(basis.rank >= k for basis in bases),
         total_receptions=sum(receptions),
         throughput=(k / rounds) if rounds else None,
         accounting_lower_bound=bound,
@@ -314,33 +252,19 @@ def run_broadcast(
 
 
 def _greedy_message_choice(
-    core: BipartiteRadioNet,
-    states: list[ReceiverState],
-    waiting: set[int],
-    mask: int,
-    k: int,
+    source_of: tuple[Optional[int], ...], bases: list[GF2Basis], k: int
 ) -> dict[int, int]:
-    """Pick each transmitter's message id: the one missing from most of the
-    receivers that will hear exactly that transmitter this round."""
-    senders = TransmitSet(core.sender_count, mask).members()
-    exclusive: dict[int, list[int]] = {u: [] for u in senders}
-    for r in waiting:
-        u = sole_sender(core.neighbor_masks[r], mask)
+    """Each heard transmitter's routing packet: the unit vector of the message
+    id missing from most of its listeners, the smallest id on ties.
+
+    A routing receiver's held ids are its basis's pivots, and a decoded
+    listener misses none, so only the waiting listeners move the tally.
+    """
+    tallies: dict[int, list[int]] = {}
+    for u, basis in zip(source_of, bases):
         if u is not None:
-            exclusive[u].append(r)
-    choice: dict[int, int] = {}
-    for u, heard_by in exclusive.items():
-        tally = [0] * k
-        for r in heard_by:
-            held = states[r].ids
+            tally = tallies.setdefault(u, [0] * k)
             for msg in range(k):
-                if msg not in held:
+                if msg not in basis.pivot_rows:
                     tally[msg] += 1
-        best_msg = 0
-        best_need = -1
-        for msg in range(k):
-            if tally[msg] > best_need:
-                best_need = tally[msg]
-                best_msg = msg
-        choice[u] = best_msg
-    return choice
+    return {u: 1 << tally.index(max(tally)) for u, tally in tallies.items()}

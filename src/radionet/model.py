@@ -267,27 +267,19 @@ def round_step(net: RadioNet, transmitters: TransmitSet) -> RoundOutcome:
 
 
 def radius(net: Radius2Net) -> Union[int, float]:
-    """Graph radius: minimum over nodes of eccentricity, by BFS layering.
+    """Graph radius: minimum over nodes of eccentricity, by layered search.
 
     Returns math.inf when the graph is disconnected (infinite eccentricity
     as the error value). The search stops once an eccentricity meets the
     degree floor: 1 if some node is adjacent to all others, else 2. On a
-    generated wrapper the source, node 0, meets it with a single BFS.
+    connected wrapper the source, node 0, meets the floor, or else sender 0
+    (node 1) is the one node adjacent to all others: at most two searches run.
     """
     adjacency = net.adjacency
-    n = len(adjacency)
-    if n == 1:
-        return 0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, nbrs in enumerate(adjacency):
-        indptr[i + 1] = indptr[i] + len(nbrs)
-    indices = np.fromiter(
-        (u for nbrs in adjacency for u in nbrs), dtype=np.int64, count=int(indptr[-1])
-    )
-    floor = 1 if max(len(nbrs) for nbrs in adjacency) == n - 1 else 2
+    floor = 1 if max(len(nbrs) for nbrs in adjacency) == len(adjacency) - 1 else 2
     best: Union[int, float] = math.inf
-    for start in range(n):
-        ecc = _eccentricity(indptr, indices, n, start)
+    for start in range(len(adjacency)):
+        ecc = _eccentricity(adjacency, start)
         if ecc == math.inf:
             return math.inf
         if ecc < best:
@@ -297,31 +289,23 @@ def radius(net: Radius2Net) -> Union[int, float]:
     return int(best)
 
 
-def _eccentricity(indptr: np.ndarray, indices: np.ndarray, n: int, start: int):
-    """Eccentricity of `start` via vectorized layer-by-layer BFS."""
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[start] = 0
-    frontier = np.array([start], dtype=np.int64)
+def _eccentricity(adjacency: tuple[tuple[int, ...], ...], start: int) -> Union[int, float]:
+    """Eccentricity of `start` by breadth-first layers; inf if a node is unreached."""
+    seen = [False] * len(adjacency)
+    seen[start] = True
+    frontier = [start]
     depth = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        # Gather all neighbor slices of the frontier in one shot.
-        pos = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) - np.repeat(pos, lens) + np.repeat(starts, lens)
-        neighbors = indices[flat]
-        fresh = neighbors[dist[neighbors] < 0]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
+    while True:
+        layer = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    layer.append(v)
+        if not layer:
+            return depth if all(seen) else math.inf
+        frontier = layer
         depth += 1
-        dist[frontier] = depth
-    if (dist < 0).any():
-        return math.inf
-    return depth
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ import random
 import tempfile
 from typing import Iterable, Union
 
+from .errors import InputError
+
 
 def derive_rng(seed: int, *path: int) -> random.Random:
     """Deterministic RNG for a (seed, index, ...) derivation path.
@@ -18,11 +20,11 @@ def derive_rng(seed: int, *path: int) -> random.Random:
     """
     key = int(seed)
     if key < 0:
-        raise ValueError("seed must be nonnegative")
+        raise InputError("seed must be nonnegative")
     for part in path:
         part = int(part)
         if not 0 <= part < 2**64:
-            raise ValueError("derivation indices must fit in 64 bits")
+            raise InputError("derivation indices must fit in 64 bits")
         key = (key << 64) | part
     return random.Random(key)
 

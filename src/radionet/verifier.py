@@ -160,24 +160,19 @@ def climb(
 
 
 def max_receptions_search(
-    net: BipartiteRadioNet,
-    restarts: int = 32,
-    seed: int = 0,
-    max_flips: Optional[int] = None,
+    net: BipartiteRadioNet, restarts: int = 32, seed: int = 0
 ) -> MaxReceptionResult:
     """Steepest-ascent single-flip hill climb; a lower bound on the true maximum.
 
     Starts from every singleton set plus `restarts` random sets of size
     n'/2, n'/4, ... cycling; each climb repeatedly applies the best
     improving flip (smallest sender index on ties) until none improves or
-    the flip budget, shared by all starts, runs out. Deterministic given
-    the seed.
+    the flip budget of 64 n', shared by all starts, runs out. Deterministic
+    given the seed.
     """
     if restarts < 1:
         raise InputError("restarts must be positive")
     n_prime = net.sender_count
-    if max_flips is None:
-        max_flips = 64 * max(n_prime, 1)
     rng = derive_rng(seed)
 
     starts = [1 << u for u in range(n_prime)]
@@ -193,7 +188,7 @@ def max_receptions_search(
     best = -1
     best_mask = 0
     examined = 0
-    flips_left = max_flips
+    flips_left = 64 * n_prime
     for start in starts:
         counters = _members(start, n_prime) @ net.incidence
         mask, flips_left, scans = climb(net.incidence, counters, start, flips_left)
@@ -227,13 +222,9 @@ class ThresholdReport:
 
 
 def check_lemma_threshold(
-    net: BipartiteRadioNet,
-    c: Union[int, str, Fraction],
-    result: Optional[MaxReceptionResult] = None,
-    restarts: int = 32,
-    seed: int = 0,
+    net: BipartiteRadioNet, c: Union[int, str, Fraction], result: MaxReceptionResult
 ) -> ThresholdReport:
-    """Check whether any transmit set reaches more than c*n' receivers.
+    """Judge whether `result`, a maximization on `net`, reaches more than c*n' receivers.
 
     Passes when best_count <= c * sender_count (equality passes). When the
     threshold is at or above the receiver count the check is flagged
@@ -243,11 +234,6 @@ def check_lemma_threshold(
     c = Fraction(c)
     if c <= 0:
         raise InputError("threshold factor c must be positive")
-    if result is None:
-        if net.sender_count <= ENUMERATION_BUDGET_BITS:
-            result = max_receptions_exact(net)
-        else:
-            result = max_receptions_search(net, restarts=restarts, seed=seed)
     threshold = c * net.sender_count
     receiver_count = net.receiver_count
     fraction = result.best_count / receiver_count if receiver_count else None

@@ -70,6 +70,14 @@ def test_verify_missing_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "input"
 
 
+def test_verify_search_rejects_negative_seed(tmp_path, capsys):
+    net = tmp_path / "h.net"
+    run_ok(["gen", "--n", "64", "--seed", "5", "--out", str(net)])
+    capsys.readouterr()
+    assert dispatch(["verify", "--net", str(net), "--search", "--seed", "-1"]) == 3
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
 @pytest.mark.parametrize("threshold", ["abc", "inf", "1/0", "0", "-2"])
 def test_verify_rejects_bad_threshold_before_maximizing(tmp_path, capsys, threshold):
     # 27 senders would exit 4 at the enumeration budget: the threshold is parsed first.

@@ -101,7 +101,7 @@ def test_search_deterministic_given_seed():
 
 def test_threshold_vacuous_at_desk_scale():
     net = sample_instance(InstanceParams(256, seed=7))
-    report = check_lemma_threshold(net, 20)
+    report = check_lemma_threshold(net, 20, max_receptions_exact(net))
     assert report.threshold == 320
     assert report.vacuous  # 320 >= 64 receivers: nothing to certify here
     assert report.passed
@@ -109,7 +109,7 @@ def test_threshold_vacuous_at_desk_scale():
 
 
 def test_threshold_equality_passes():
-    report = check_lemma_threshold(toy_net(), 1)
+    report = check_lemma_threshold(toy_net(), 1, max_receptions_exact(toy_net()))
     assert report.best_count == 2
     assert report.threshold == 2
     assert report.passed  # equality counts as passing
@@ -117,7 +117,9 @@ def test_threshold_equality_passes():
 
 
 def test_threshold_failure_below_maximum():
-    report = check_lemma_threshold(toy_net(), Fraction(1, 2))
+    report = check_lemma_threshold(
+        toy_net(), Fraction(1, 2), max_receptions_exact(toy_net())
+    )
     assert report.threshold == 1
     assert not report.passed
 
@@ -126,12 +128,12 @@ def test_threshold_receiver_ratio_always_passes():
     for seed in (0, 9):
         net = sample_instance(InstanceParams(64, seed=seed))
         c = Fraction(net.receiver_count, net.sender_count)
-        assert check_lemma_threshold(net, c).passed
+        assert check_lemma_threshold(net, c, max_receptions_exact(net)).passed
 
 
 def test_threshold_rejects_nonpositive_factor():
     with pytest.raises(InputError):
-        check_lemma_threshold(toy_net(), 0)
+        check_lemma_threshold(toy_net(), 0, max_receptions_exact(toy_net()))
 
 
 def test_monte_carlo_zero_transmitters():
