@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -30,6 +29,7 @@ from .util import atomic_write_text
 from .verifier import check_lemma_threshold, max_receptions_exact, max_receptions_search
 
 SCHEMA_VERSION = 1
+# Read by nothing here; the benchmark (perfbench/workloads.py) still sets it by this name.
 WORKERS_ENV = "RADIONET_WORKERS"
 
 
@@ -81,19 +81,6 @@ def _write_csv(path, config: dict, header: str, rows: Iterable[str]) -> None:
         atomic_write_text(path, lines)
     else:
         sys.stdout.writelines(lines)
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{WORKERS_ENV}={raw!r} is not an integer") from exc
-    if workers < 1:
-        raise InputError(f"{WORKERS_ENV} must be at least 1")
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +177,18 @@ def _parse_threshold(raw: Optional[str]) -> Optional[Fraction]:
 
 
 def _cmd_verify(args) -> None:
-    threshold = _parse_threshold(args.threshold)  # before the maximization, which can be long
+    # Flags are checked in both modes, before the maximization, which can be long.
+    threshold = _parse_threshold(args.threshold)
+    if args.seed < 0:
+        raise InputError(f"seed must be nonnegative, got {args.seed}")
+    if args.restarts < 1:
+        raise InputError(f"restarts must be positive, got {args.restarts}")
     net = load_net(args.net)
     core = net.core if isinstance(net, Radius2Net) else net
-    workers = _workers()
     if args.search:
         result = max_receptions_search(core, restarts=args.restarts, seed=args.seed)
     else:
-        result = max_receptions_exact(core, workers=workers)
-    # Worker count is deliberately not recorded: partitioned enumeration is
-    # bit-identical to the single-worker run, so it is not an experiment input.
+        result = max_receptions_exact(core)
     config = {
         "mode": "search" if args.search else "exact",
         "net": args.net,
@@ -209,7 +198,7 @@ def _cmd_verify(args) -> None:
     }
     payload = {
         "best_count": result.best_count,
-        "exact": result.exact_flag,
+        "exact": result.method == "exact",
         "method": result.method,
         "receiver_count": core.receiver_count,
         "sender_count": core.sender_count,
@@ -247,6 +236,9 @@ def _cmd_simulate(args) -> None:
     net = load_net(args.net)
     if not isinstance(net, Radius2Net):
         raise InputError("simulate needs a radius-2 network file (gen --radius2)")
+    masks = net.core.neighbor_masks
+    if 0 in masks:
+        raise InputError(f"receiver {masks.index(0)} has no sender neighbour; no broadcast reaches it")
     cfg = BroadcastConfig(
         k=args.k,
         content_model=args.model,
@@ -386,3 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.set_defaults(run=_cmd_report)
 
     return parser
+
+
+if __name__ == "__main__":
+    main()

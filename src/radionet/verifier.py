@@ -4,17 +4,15 @@ Exhaustive enumeration evaluates all 2**n' sender subsets as chunks of
 uint64 bit masks against each receiver's neighbor mask. Beyond the
 enumeration budget a steepest-ascent hill climb with restarts gives a
 reproducible lower bound on the true maximum. Both report a witness
-transmit set, tie-broken to the smallest bit mask so results are identical
-across enumeration order and worker count.
+transmit set, tie-broken to the smallest bit mask so results do not depend
+on the enumeration order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
 from typing import Optional, Union
 
 import numpy as np
@@ -32,10 +30,6 @@ ENUMERATION_BUDGET_BITS = 26
 #: Candidate transmit sets evaluated per numpy pass of exhaustive enumeration.
 CHUNK_BITS = 14
 
-#: Fewest senders for which exact enumeration starts a process pool. Below
-#: this the spawn start-up of the workers costs more than the split saves.
-POOL_MIN_SENDERS = 24
-
 #: Flip gain weights indexed by a receiver's transmitting-neighbor count
 #: (clipped at 3): column 0 for a sender turning on, column 1 turning off.
 _FLIP_WEIGHTS = np.array([[1, 0], [-1, -1], [0, 1], [0, 0]], dtype=np.float64)
@@ -49,38 +43,15 @@ class MaxReceptionResult:
     witness: TransmitSet
     method: str  # "exact" | "search"
     subsets_examined: int
-    exact_flag: bool
 
 
-def _enumerate_block(masks: tuple[int, ...], low_bits: int, high_mask: int) -> tuple[int, int]:
-    """Best (count, mask) over all subsets with fixed high bits `high_mask`.
-
-    Evaluates the 2**low_bits candidates in ascending chunks of uint64
-    masks; a receiver with neighbor mask m hears candidate T iff
-    popcount(m & T) == 1. Ties keep the smallest mask. Top-level function
-    so worker processes can pickle it.
-    """
-    receiver_masks = np.array(masks, dtype=np.uint64)
-    chunk = 1 << min(CHUNK_BITS, low_bits)
-    offsets = np.arange(chunk, dtype=np.uint64)
-    best, best_mask = -1, 0
-    for base in range(high_mask, high_mask + (1 << low_bits), chunk):
-        candidates = offsets + np.uint64(base)
-        counts = np.zeros(chunk, dtype=np.int64)
-        for m in receiver_masks:
-            counts += np.bitwise_count(candidates & m) == 1
-        top = int(counts.argmax())  # first maximum: the smallest mask
-        if counts[top] > best:
-            best, best_mask = int(counts[top]), base + top
-    return best, best_mask
-
-
-def max_receptions_exact(net: BipartiteRadioNet, workers: int = 1) -> MaxReceptionResult:
+def max_receptions_exact(net: BipartiteRadioNet) -> MaxReceptionResult:
     """Exact maximum receptions over all transmit sets, by full enumeration.
 
-    The witness is the smallest bit mask achieving the maximum, so the
-    result is identical for any worker count or block partitioning.
-    Raises BudgetError above 2**26 subsets; use max_receptions_search there.
+    Evaluates the 2**n' candidates in ascending chunks of uint64 masks; a
+    receiver with neighbor mask m hears candidate T iff popcount(m & T) == 1.
+    The witness is the smallest bit mask achieving the maximum. Raises
+    BudgetError above 2**26 subsets; use max_receptions_search there.
     """
     n_prime = net.sender_count
     if n_prime > ENUMERATION_BUDGET_BITS:
@@ -88,35 +59,24 @@ def max_receptions_exact(net: BipartiteRadioNet, workers: int = 1) -> MaxRecepti
             f"{n_prime} senders means 2^{n_prime} subsets, past the 2^"
             f"{ENUMERATION_BUDGET_BITS} enumeration budget; use max_receptions_search"
         )
-    if workers < 1:
-        raise InputError("workers must be at least 1")
-    masks = net.neighbor_masks
-
-    if workers == 1 or n_prime < POOL_MIN_SENDERS:
-        best, best_mask = _enumerate_block(masks, n_prime, 0)
-    else:
-        # Partition on the 4 high-order bits; each block enumerates the rest.
-        split = min(4, n_prime)
-        low = n_prime - split
-        blocks = [(masks, low, high << low) for high in range(1 << split)]
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
-        ) as pool:
-            results = list(pool.map(_enumerate_block_star, blocks, chunksize=1))
-        best = max(count for count, _ in results)
-        best_mask = min(mask for count, mask in results if count == best)
-
+    receiver_masks = np.array(net.neighbor_masks, dtype=np.uint64)
+    chunk = 1 << min(CHUNK_BITS, n_prime)
+    offsets = np.arange(chunk, dtype=np.uint64)
+    best, best_mask = -1, 0
+    for base in range(0, 1 << n_prime, chunk):
+        candidates = offsets + np.uint64(base)
+        counts = np.zeros(chunk, dtype=np.int64)
+        for m in receiver_masks:
+            counts += np.bitwise_count(candidates & m) == 1
+        top = int(counts.argmax())  # first maximum: the smallest mask
+        if counts[top] > best:
+            best, best_mask = int(counts[top]), base + top
     return MaxReceptionResult(
         best_count=best,
         witness=TransmitSet(n_prime, best_mask),
         method="exact",
         subsets_examined=1 << n_prime,
-        exact_flag=True,
     )
-
-
-def _enumerate_block_star(args) -> tuple[int, int]:
-    return _enumerate_block(*args)
 
 
 def _members(mask: int, width: int) -> np.ndarray:
@@ -202,7 +162,6 @@ def max_receptions_search(
         witness=TransmitSet(n_prime, best_mask),
         method="search",
         subsets_examined=examined,
-        exact_flag=False,
     )
 
 

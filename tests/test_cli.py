@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import radionet
 from radionet.cli import _write_csv, dispatch
 from radionet.model import load, validate
 
@@ -76,6 +80,16 @@ def test_verify_search_rejects_negative_seed(tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["verify", "--net", str(net), "--search", "--seed", "-1"]) == 3
     assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--search"])
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--restarts", "0"]], ids=["seed", "restarts"])
+def test_verify_rejects_bad_search_flags_before_loading(tmp_path, capsys, mode, flag):
+    # The net does not exist: the error names the flag, so it was checked first.
+    assert dispatch(["verify", "--net", str(tmp_path / "ghost.net"), mode, *flag]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "input"
+    assert flag[0].lstrip("-") in err["error"]
 
 
 @pytest.mark.parametrize("threshold", ["abc", "inf", "1/0", "0", "-2"])
@@ -198,6 +212,19 @@ def test_simulate_needs_radius2_net(tmp_path):
     assert dispatch(["simulate", "--net", str(net), "--k", "1"]) == 3
 
 
+def test_simulate_rejects_unreachable_receiver(tmp_path, capsys):
+    # Receiver 1 has no sender neighbour: no policy could ever deliver to it.
+    net = tmp_path / "u.net"
+    net.write_text("radionet v1 2 2\n1 0 1\n0\nradius2 6 1\n")
+    for policy in ("round_robin", "greedy_schedule", "random_p"):
+        extra = ["--p", "0.5"] if policy == "random_p" else []
+        argv = ["simulate", "--net", str(net), "--k", "1", "--policy", policy, *extra]
+        assert dispatch(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input"
+        assert "receiver 1" in err["error"]
+
+
 def test_simulate_random_p_flag(tmp_path):
     net = tmp_path / "h.net"
     run_ok(["gen", "--n", "64", "--seed", "5", "--out", str(net), "--radius2"])
@@ -317,3 +344,13 @@ def test_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
         for name in PINNED_SIMULATE_DIGESTS
     }
     assert digests == PINNED_SIMULATE_DIGESTS
+
+
+def test_module_entry_point_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(radionet.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-m", "radionet.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == f"radionet {radionet.__version__}\n"

@@ -2,12 +2,14 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radionet.broadcast import BroadcastConfig, GF2Basis, _best_transmit_mask, run_broadcast
+from radionet import verifier
 from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
@@ -56,6 +58,16 @@ def test_exact_matches_brute_force_count_and_smallest_witness(net):
     found = max_receptions_search(net, restarts=2, seed=1)
     assert found.best_count <= result.best_count
     assert round_step(net, found.witness).reception_count == found.best_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(cores())
+def test_exact_matches_brute_force_in_2_bit_chunks(net):
+    # Past 2 senders the enumeration runs several chunks: this checks the loop
+    # over them and the smallest witness kept across them.
+    with mock.patch.object(verifier, "CHUNK_BITS", 2):
+        result = max_receptions_exact(net)
+    assert (result.best_count, result.witness.bits) == brute_force_maximum(net)
 
 
 def layout_neighbors(net):
