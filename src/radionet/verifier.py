@@ -1,11 +1,16 @@
 """Maximization of single-round receptions over transmit sets.
 
-Exhaustive enumeration evaluates all 2**n' sender subsets as chunks of
-uint64 bit masks against each receiver's neighbor mask. Beyond the
-enumeration budget a steepest-ascent hill climb with restarts gives a
-reproducible lower bound on the true maximum. Both report a witness
+Exhaustive enumeration meets in the middle: it splits the senders into a
+low half of n'//2 and a high half, and tables, for every subset of each
+half, the receivers with no and with exactly one neighbor in it as uint64
+bit sets. A receiver hears a transmit set iff it is at one in one half and
+at zero in the other, so the counts of all 2**n' sets are integer popcounts
+of two ANDs of table rows, exact, from two tables of about 2**(n'/2) rows.
+Beyond the enumeration budget a steepest-ascent hill climb with restarts
+gives a reproducible lower bound on the true maximum. Both report a witness
 transmit set, tie-broken to the smallest bit mask so results do not depend
-on the enumeration order.
+on the enumeration order; the enumeration lays out each block of counts so
+that its flat index ascends with the mask.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .util import derive_rng
 #: Exhaustive enumeration is capped at 2**26 subsets.
 ENUMERATION_BUDGET_BITS = 26
 
-#: Candidate transmit sets evaluated per numpy pass of exhaustive enumeration.
+#: Candidate transmit sets evaluated per numpy pass of exhaustive enumeration,
+#: or 2**(n'//2) when that is more: a pass covers the whole low-half table.
 CHUNK_BITS = 14
 
 #: Flip gain weights indexed by a receiver's transmitting-neighbor count
@@ -48,10 +54,23 @@ class MaxReceptionResult:
 def max_receptions_exact(net: BipartiteRadioNet) -> MaxReceptionResult:
     """Exact maximum receptions over all transmit sets, by full enumeration.
 
-    Evaluates the 2**n' candidates in ascending chunks of uint64 masks; a
-    receiver with neighbor mask m hears candidate T iff popcount(m & T) == 1.
-    The witness is the smallest bit mask achieving the maximum. Raises
-    BudgetError above 2**26 subsets; use max_receptions_search there.
+    A receiver with neighbor mask m hears candidate T iff popcount(m & T)
+    == 1. Split the senders into a low half of L = n'//2 bits and a high
+    half of the rest, T = (t_H, t_L): the receiver hears T iff the pair
+    (popcount(m_H & t_H), popcount(m_L & t_L)) is (1, 0) or (0, 1). So two
+    tables of 2**L and 2**(n'-L) rows, the receivers with no and with
+    exactly one neighbor in each half subset as bit sets, give the count of
+    every candidate as popcount(one_H(t_H) & zero_L(t_L) | zero_H(t_H) &
+    one_L(t_L)): a product of the two tables with AND for multiplication
+    and popcount as the sum. The counts are integers, so they are exact.
+
+    The high rows go one block at a time, each block covering at most
+    2**max(CHUNK_BITS, L) candidates. In a block starting at high row h0
+    the flat index i is the mask (h0 << L) + i, ascending, so the first
+    argmax is the smallest mask of the block and a strict comparison across
+    ascending blocks keeps the smallest bit mask achieving the maximum as
+    the witness. Raises BudgetError above 2**26 subsets; use
+    max_receptions_search there.
     """
     n_prime = net.sender_count
     if n_prime > ENUMERATION_BUDGET_BITS:
@@ -59,24 +78,64 @@ def max_receptions_exact(net: BipartiteRadioNet) -> MaxReceptionResult:
             f"{n_prime} senders means 2^{n_prime} subsets, past the 2^"
             f"{ENUMERATION_BUDGET_BITS} enumeration budget; use max_receptions_search"
         )
-    receiver_masks = np.array(net.neighbor_masks, dtype=np.uint64)
-    chunk = 1 << min(CHUNK_BITS, n_prime)
-    offsets = np.arange(chunk, dtype=np.uint64)
+    low_bits = n_prime // 2
+    receivers_of = _receiver_words(net)
+    zero_low, one_low = _half_tables(receivers_of[:low_bits])
+    zero_high, one_high = _half_tables(receivers_of[low_bits:])
+    high_rows = 1 << (n_prime - low_bits)
+    rows = min(1 << max(CHUNK_BITS - low_bits, 0), high_rows)
+    counts = np.empty((rows, 1 << low_bits), dtype=np.int64)
     best, best_mask = -1, 0
-    for base in range(0, 1 << n_prime, chunk):
-        candidates = offsets + np.uint64(base)
-        counts = np.zeros(chunk, dtype=np.int64)
-        for m in receiver_masks:
-            counts += np.bitwise_count(candidates & m) == 1
+    for h0 in range(0, high_rows, rows):
+        counts[:] = 0
+        for zero_l, one_l, zero_h, one_h in zip(zero_low, one_low, zero_high, one_high):
+            hits = one_h[h0 : h0 + rows, None] & zero_l
+            hits |= zero_h[h0 : h0 + rows, None] & one_l
+            counts += np.bitwise_count(hits)
         top = int(counts.argmax())  # first maximum: the smallest mask
-        if counts[top] > best:
-            best, best_mask = int(counts[top]), base + top
+        if counts.flat[top] > best:
+            best, best_mask = int(counts.flat[top]), (h0 << low_bits) + top
     return MaxReceptionResult(
         best_count=best,
         witness=TransmitSet(n_prime, best_mask),
         method="exact",
         subsets_examined=1 << n_prime,
     )
+
+
+def _receiver_words(net: BipartiteRadioNet) -> np.ndarray:
+    """Each sender's receivers as a bit set, packed 64 receivers to a uint64 word.
+
+    Senders x ceil(R / 64); the bits past the last receiver are 0.
+    """
+    words = -(-net.receiver_count // 64)
+    padded = np.zeros((net.sender_count, 64 * words), dtype=np.uint8)
+    padded[:, : net.receiver_count] = net.incidence
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def _half_tables(receivers_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The receivers with no and with exactly one neighbor in every subset of some senders.
+
+    `receivers_of` holds one row of receiver words per sender, sender u
+    standing for bit u. Returns (zero, one), each words x 2**senders:
+    column t holds the receivers with no neighbor / exactly one neighbor
+    among the senders of bit mask t. Built by doubling: adding sender u to
+    the subsets without it, a receiver stays at zero iff u misses it and is
+    at one iff it was at one and u misses it or was at zero and u hits it.
+    `zero` starts with every bit set; bits past the last receiver never
+    reach `one`, so they are never counted.
+    """
+    senders, words = receivers_of.shape
+    zero = np.empty((words, 1 << senders), dtype=np.uint64)
+    one = np.empty_like(zero)
+    zero[:, 0] = ~np.uint64(0)
+    one[:, 0] = 0
+    for u, hit in enumerate(receivers_of[:, :, None]):
+        known, added = slice(0, 1 << u), slice(1 << u, 2 << u)
+        zero[:, added] = zero[:, known] & ~hit
+        one[:, added] = (one[:, known] & ~hit) | (zero[:, known] & hit)
+    return zero, one
 
 
 def _members(mask: int, width: int) -> np.ndarray:

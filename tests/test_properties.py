@@ -50,7 +50,30 @@ def brute_force_maximum(net):
     return best, best_mask
 
 
+def net_of(senders, *neighbor_sets):
+    return BipartiteRadioNet(senders, tuple(Receiver(0, nbrs) for nbrs in neighbor_sets))
+
+
+def split_edge_examples(test):
+    """Nets at the edges of the low/high sender split of the exact enumeration."""
+    for net in (
+        net_of(1, (0,), ()),  # n'=1: the low half is empty
+        net_of(7, (0, 3), (2, 6), (3, 4, 5), (1,)),  # odd n': a 3-bit low and 4-bit high half
+        net_of(4, (), (1, 2), ()),  # receivers with no neighbours
+        net_of(6, (0, 1), (2,), (0, 2)),  # neighbours only in the low half
+        net_of(6, (3, 4), (5,), (4, 5)),  # neighbours only in the high half
+        net_of(6, (3, 5), (3, 5), (3, 5)),  # tied maxima in many blocks of 2-bit chunks
+        net_of(5, (1, 4), (1, 4), (2, 3)),  # tied maxima across the halves
+        # every subset of 6 senders and 66 singletons: 130 receivers, three 64-bit words
+        net_of(6, *(tuple(u for u in range(6) if r >> u & 1) for r in range(64)), *((r % 6,) for r in range(66))),
+        net_of(2, *[(0,)] * 300),  # a count past 255
+    ):
+        test = example(net)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
+@split_edge_examples
 @given(cores())
 def test_exact_matches_brute_force_count_and_smallest_witness(net):
     result = max_receptions_exact(net)
@@ -61,6 +84,7 @@ def test_exact_matches_brute_force_count_and_smallest_witness(net):
 
 
 @settings(max_examples=60, deadline=None)
+@split_edge_examples
 @given(cores())
 def test_exact_matches_brute_force_in_2_bit_chunks(net):
     # Past 2 senders the enumeration runs several chunks: this checks the loop

@@ -9,6 +9,7 @@ from radionet.instance import InstanceParams, sample_instance
 from radionet.model import BipartiteRadioNet, Receiver, TransmitSet, round_step
 from radionet.util import derive_rng
 from radionet.verifier import (
+    ENUMERATION_BUDGET_BITS,
     check_lemma_threshold,
     max_receptions_exact,
     max_receptions_search,
@@ -39,6 +40,18 @@ def test_exact_on_minimal_instance():
     result = max_receptions_exact(net)
     assert result.best_count == 2
     assert result.witness.bits == 0b01  # first sender, smallest mask tie-break
+
+
+def test_exact_at_the_budget_edge():
+    # 26 senders, past brute force. Pairwise disjoint neighbour sets, some in
+    # one half of the sender split and some across it: every receiver can
+    # hear at once, and the smallest witness takes each one's lowest neighbour.
+    neighbor_sets = [(0, 14), (1, 2, 25), (3,), (13, 20, 24), (5, 6, 7, 8), (12,), (15, 16, 17, 18, 19)]
+    net = BipartiteRadioNet(ENUMERATION_BUDGET_BITS, tuple(Receiver(0, s) for s in neighbor_sets))
+    result = max_receptions_exact(net)
+    assert result.best_count == len(neighbor_sets)
+    assert result.witness.bits == sum(1 << min(s) for s in neighbor_sets) == 0xB02B
+    assert result.subsets_examined == 1 << 26
 
 
 def test_exact_budget_error_directs_to_search():
