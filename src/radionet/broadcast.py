@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, TransmitSet, round_step
+from .model import BipartiteRadioNet, Radius2Net, TransmitSet, bit_members, round_step
 from .util import derive_rng
 from .verifier import (
     ENUMERATION_BUDGET_BITS,
@@ -130,14 +130,15 @@ def lower_bound_rounds(k: int, receiver_count: int, maxrec: int) -> Union[int, f
     return -(-demand // maxrec)
 
 
-def _best_transmit_mask(net: BipartiteRadioNet, waiting: set[int]) -> int:
+def _best_transmit_mask(net: BipartiteRadioNet, waiting: int) -> int:
     """Steepest-ascent transmit set maximizing receptions among waiting receivers.
 
-    Climbs from the empty set over the incidence columns of the waiting
-    receivers, so the result is deterministic. Every flip gains at least one
-    reception, so receiver_count flips always suffice.
+    `waiting` is a receiver bit set. Climbs from the empty set over the
+    incidence columns of the waiting receivers, so the result is
+    deterministic. Every flip gains at least one reception, so
+    receiver_count flips always suffice.
     """
-    incidence = net.incidence[:, sorted(waiting)]
+    incidence = net.incidence[:, bit_members(waiting)]
     counters = np.zeros(incidence.shape[1], dtype=np.int64)
     mask, _, _ = climb(incidence, counters, 0, net.receiver_count)
     return mask
@@ -166,10 +167,13 @@ def run_broadcast(
     receiver can. After it every sender holds all k messages, or the cap has
     ended the run. Each policy round is then evaluated once with the real
     collision semantics (round_step) on the bipartite core, before the
-    payloads are chosen; each receiver inserts what it hears into its GF(2)
-    basis. The minimum decoded dimension is kept incrementally, since ranks
-    never fall. Deterministic given (net, cfg). Pass a precomputed `maxrec`
-    to skip the per-run maximization.
+    payloads are chosen. Only receivers still waiting insert what they hear
+    into their GF(2) basis: a decoded receiver's basis spans GF(2)^k, so an
+    insert there could never raise its rank. Receivers are bit sets
+    throughout, and each round's receptions are added into bit-plane
+    counters, read out once at the end. The minimum decoded dimension is
+    kept incrementally, since ranks never fall. Deterministic given
+    (net, cfg). Pass a precomputed `maxrec` to skip the per-run maximization.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
@@ -189,8 +193,8 @@ def run_broadcast(
     n_senders = core.sender_count
     coding = cfg.content_model == "coding"
     bases = [GF2Basis() for _ in range(receiver_count)]
-    receptions = [0] * receiver_count
-    waiting = set(range(receiver_count)) if k else set()
+    reception_planes: list[int] = []  # plane j holds bit j of every receiver's count
+    waiting = (1 << receiver_count) - 1 if k else 0
     rounds = min(k, cfg.max_rounds) if waiting else 0  # the source phase
     series: list[tuple[int, int, int]] = [(r, 0, 0) for r in range(1, rounds + 1)]
     rank_counts = [receiver_count] + [0] * k  # receivers at each rank
@@ -212,31 +216,34 @@ def run_broadcast(
         if mask:  # an empty random_p round still costs time
             senders = TransmitSet(n_senders, mask)
             outcome = round_step(core, senders)
+            hits = outcome.reception_count
+            _add_to_planes(reception_planes, outcome.heard)
             if coding:
                 rng = derive_rng(cfg.seed, rounds, 1)
                 payloads = {u: _span_sample(k, rng) for u in senders.members()}
             elif cfg.policy == "greedy_schedule":
-                payloads = _greedy_message_choice(outcome.source_of, bases, k)
+                payloads = _greedy_message_choice(outcome.listeners, waiting, bases, k)
             else:
                 payloads = {}
                 for u in senders.members():
                     payloads[u] = 1 << (message_cursor[u] % k)
                     message_cursor[u] += 1
-            for r, u in enumerate(outcome.source_of):
-                if u is None:
-                    continue
-                hits += 1
-                receptions[r] += 1
-                if bases[r].insert(payloads[u]):  # the rank rose by one
-                    rank = bases[r].rank
-                    rank_counts[rank - 1] -= 1
-                    rank_counts[rank] += 1
-                    if rank >= k:
-                        waiting.discard(r)
+            for u, heard in outcome.listeners:
+                for r in bit_members(heard & waiting):
+                    if bases[r].insert(payloads[u]):  # the rank rose by one
+                        rank = bases[r].rank
+                        rank_counts[rank - 1] -= 1
+                        rank_counts[rank] += 1
+                        if rank >= k:
+                            waiting ^= 1 << r
             while min_rank < k and not rank_counts[min_rank]:
                 min_rank += 1
         series.append((rounds, hits, min_rank))
 
+    receptions = [0] * receiver_count
+    for j, plane in enumerate(reception_planes):
+        for r in bit_members(plane):
+            receptions[r] += 1 << j
     return BroadcastReport(
         rounds_used=rounds,
         incomplete=bool(waiting),
@@ -251,20 +258,35 @@ def run_broadcast(
     )
 
 
+def _add_to_planes(planes: list[int], bits: int) -> None:
+    """Add one to the bit-plane counter of every receiver in `bits`, with ripple carry."""
+    for j, plane in enumerate(planes):
+        if not bits:
+            return
+        planes[j] = plane ^ bits
+        bits &= plane  # the carry into plane j + 1
+    if bits:
+        planes.append(bits)
+
+
 def _greedy_message_choice(
-    source_of: tuple[Optional[int], ...], bases: list[GF2Basis], k: int
+    listeners: tuple[tuple[int, int], ...], waiting: int, bases: list[GF2Basis], k: int
 ) -> dict[int, int]:
     """Each heard transmitter's routing packet: the unit vector of the message
-    id missing from most of its listeners, the smallest id on ties.
+    id missing from most of its waiting listeners, the smallest id on ties.
 
-    A routing receiver's held ids are its basis's pivots, and a decoded
-    listener misses none, so only the waiting listeners move the tally.
+    `listeners` holds round_step's (transmitter, listener bits) pairs and
+    `waiting` the receivers not yet decoded. A routing receiver's held ids
+    are its basis's pivots, and a decoded listener misses none, so only the
+    waiting listeners move the tally.
     """
-    tallies: dict[int, list[int]] = {}
-    for u, basis in zip(source_of, bases):
-        if u is not None:
-            tally = tallies.setdefault(u, [0] * k)
+    choice = {}
+    for u, heard in listeners:
+        tally = [0] * k
+        for r in bit_members(heard & waiting):
+            pivots = bases[r].pivot_rows
             for msg in range(k):
-                if msg not in basis.pivot_rows:
+                if msg not in pivots:
                     tally[msg] += 1
-    return {u: 1 << tally.index(max(tally)) for u, tally in tallies.items()}
+        choice[u] = 1 << tally.index(max(tally))
+    return choice

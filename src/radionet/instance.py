@@ -54,8 +54,12 @@ def _receiver_neighbors(seed: int, receiver_index: int, sender_count: int, degre
     worker layout. Swap t takes its offset below width = sender_count - t
     straight from getrandbits(width.bit_length()), redrawn while it is not
     below width: the draw randrange(t, sender_count) makes on CPython 3.11,
-    so the stream, and every generated file, stays that of randrange.
+    so the stream, and every generated file, stays that of randrange. A
+    full-degree receiver takes every sender whatever the draws, and its
+    generator feeds no other receiver, so it skips them.
     """
+    if degree == sender_count:
+        return tuple(range(sender_count))
     getrandbits = derive_rng(seed, receiver_index).getrandbits
     pool = list(range(sender_count))
     for t in range(degree):

@@ -7,14 +7,21 @@ nothing; a transmitting node never receives.
 
 Two graph shapes are supported. `BipartiteRadioNet` holds senders on one
 side and class-structured receivers on the other, with adjacency stored
-receiver-side only (the sender-side incidence matrix is derived on demand
-and cached). `Radius2Net` wraps a bipartite core with a single source node
-attached to every sender plus optional degree-1 void nodes, giving a
-connected network of radius 2.
+receiver-side only (the sender-side incidence matrix and reach masks are
+derived on demand and cached). `Radius2Net` wraps a bipartite core with a
+single source node attached to every sender plus optional degree-1 void
+nodes, giving a connected network of radius 2.
 
-Both shapes cache one neighbor bit mask per listening node, and every
-exactly-one test in the package works on those masks: a node with mask m
-hears transmit set T iff x = m & T is nonzero and x & (x - 1) == 0.
+The rule has two forms on Python int bit sets, and every exactly-one test
+in the package uses one of them:
+
+- receiver side (`sole_sender`, used by Monte Carlo): a node with neighbor
+  mask m hears transmit set T iff x = m & T is nonzero and x & (x - 1) == 0;
+- sender side (`round_step`): fold each transmitter's reach mask, the
+  listeners it reaches, into the listeners at exactly one and at two or
+  more transmitting neighbors, `many |= one & m; one = (one | m) & ~many`.
+  The rest are at zero. These are the zero and one bit sets of the
+  exhaustive enumeration's half tables (`verifier._half_tables`).
 """
 
 from __future__ import annotations
@@ -94,6 +101,15 @@ class BipartiteRadioNet:
         """Each receiver's senders as a bit mask: bit u is set iff u is a neighbor."""
         return tuple(bit_mask(r.neighbors) for r in self.receivers)
 
+    @cached_property
+    def reach_masks(self) -> tuple[int, ...]:
+        """Each sender's receivers as a bit mask: bit r is set iff the sender reaches receiver r."""
+        reach = [0] * self.sender_count
+        for r, receiver in enumerate(self.receivers):
+            for u in receiver.neighbors:
+                reach[u] |= 1 << r
+        return tuple(reach)
+
 
 def bit_mask(ids: Iterable[int]) -> int:
     """The ids as one bit mask: bit u is set iff u is in `ids`."""
@@ -101,6 +117,16 @@ def bit_mask(ids: Iterable[int]) -> int:
     for u in ids:
         mask |= 1 << u
     return mask
+
+
+def bit_members(mask: int) -> tuple[int, ...]:
+    """The ids of the set bits of `mask`, ascending: the inverse of `bit_mask`."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
 
 
 def sole_sender(mask: int, bits: int) -> Optional[int]:
@@ -209,13 +235,7 @@ class TransmitSet:
         return cls(width, bits)
 
     def members(self) -> tuple[int, ...]:
-        members = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            members.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(members)
+        return bit_members(self.bits)
 
     def __contains__(self, node: int) -> bool:
         return 0 <= node < self.width and bool((self.bits >> node) & 1)
@@ -230,16 +250,36 @@ class TransmitSet:
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """Result of one round: who received, from whom, and how many in total.
+    """Result of one round: who received, and from whom, as listener bit sets.
 
-    `received[i]` indexes receivers for a bipartite net and node ids for a
-    radius-2 net. `source_of[i]` is the unique transmitting neighbor that
-    delivered the packet, or None where nothing was received.
+    Listeners are receivers for a bipartite net and node ids for a radius-2
+    net; `size` is their number. `heard` holds the listeners that received,
+    and `listeners` one `(u, bits)` pair per transmitter u that delivered
+    anything, in ascending u, with `bits` the listeners whose single
+    transmitting neighbor is u. The per-listener views are derived on demand.
     """
 
-    received: tuple[bool, ...]
-    reception_count: int
-    source_of: tuple[Optional[int], ...]
+    size: int
+    heard: int
+    listeners: tuple[tuple[int, int], ...]
+
+    @property
+    def reception_count(self) -> int:
+        return self.heard.bit_count()
+
+    @cached_property
+    def received(self) -> tuple[bool, ...]:
+        """`received[i]`: whether listener i received a packet."""
+        return tuple(bool(self.heard >> i & 1) for i in range(self.size))
+
+    @cached_property
+    def source_of(self) -> tuple[Optional[int], ...]:
+        """`source_of[i]`: the transmitter that delivered listener i's packet, or None."""
+        sources: list[Optional[int]] = [None] * self.size
+        for u, bits in self.listeners:
+            for i in bit_members(bits):
+                sources[i] = u
+        return tuple(sources)
 
 
 def round_step(net: RadioNet, transmitters: TransmitSet) -> RoundOutcome:
@@ -247,23 +287,30 @@ def round_step(net: RadioNet, transmitters: TransmitSet) -> RoundOutcome:
 
     Pure function: identical inputs give identical outcomes. Listening node
     v receives iff exactly one neighbor of v transmits; transmitting nodes
-    never receive.
+    never receive. Works from the sender side: O(|T|) big-int operations on
+    the transmitters' reach masks (the neighbor masks of a radius-2 net,
+    which are undirected), not one step per listener.
     """
     if isinstance(net, Radius2Net):
-        width = net.total_nodes
+        width, size = net.total_nodes, net.total_nodes
+        reach = net.neighbor_masks
     elif isinstance(net, BipartiteRadioNet):
-        width = net.sender_count
+        width, size = net.sender_count, net.receiver_count
+        reach = net.reach_masks
     else:
         raise InputError(f"unsupported network type {type(net).__name__}")
     if transmitters.width != width:
         raise InputError(f"transmit set width {transmitters.width} != net width {width}")
-    bits = transmitters.bits
-    sources = [sole_sender(mask, bits) for mask in net.neighbor_masks]
+    members = transmitters.members()
+    one = many = 0
+    for u in members:
+        m = reach[u]
+        many |= one & m
+        one = (one | m) & ~many
     if isinstance(net, Radius2Net):
-        for node in transmitters.members():  # transmitting nodes never receive
-            sources[node] = None
-    received = tuple(source is not None for source in sources)
-    return RoundOutcome(received, sum(received), tuple(sources))
+        one &= ~transmitters.bits  # transmitting nodes never receive
+    listeners = tuple((u, heard) for u in members if (heard := reach[u] & one))
+    return RoundOutcome(size, one, listeners)
 
 
 def radius(net: Radius2Net) -> Union[int, float]:

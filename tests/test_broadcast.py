@@ -241,14 +241,14 @@ def test_coding_never_loses_to_round_robin_routing_on_toys():
 
 
 def test_greedy_schedule_toy_first_set():
-    mask = _best_transmit_mask(skewed_core(), {0, 1})
+    mask = _best_transmit_mask(skewed_core(), 0b11)
     assert mask == 0b01  # sender a reaches both receivers
     outcome = round_step(skewed_core(), TransmitSet(2, mask))
     assert outcome.reception_count == 2
 
 
 def test_greedy_schedule_empty_when_satisfied():
-    assert _best_transmit_mask(skewed_core(), set()) == 0
+    assert _best_transmit_mask(skewed_core(), 0) == 0
     # Once every receiver has decoded, the policy plays no further round.
     net = build_radius2(skewed_core(), 5)
     report = run_broadcast(net, BroadcastConfig(k=1, policy="greedy_schedule"))
@@ -267,7 +267,7 @@ def test_greedy_message_choice_takes_smallest_most_missing_id():
         bases[2].insert(1 << m)
     # Sender 0 reaches receivers 0 and 1, which miss ids 1 and 2 twice each;
     # sender 2 reaches only decoded receiver 2; receiver 3 hears nothing.
-    choice = _greedy_message_choice((0, 0, 2, None), bases, k)
+    choice = _greedy_message_choice(((0, 0b0011), (2, 0b0100)), 0b1011, bases, k)
     assert choice == {0: 1 << 1, 2: 1 << 0}
 
 

@@ -144,5 +144,6 @@ def draws(draw):
 @example((7, 3, 3, 3))
 @example((5, 1, 300, 300))
 @example((11, 2, 129, 64))
+@example((12345, 383, 64, 64))  # the full-degree top class of an n=4096 instance
 def test_receiver_neighbors_match_randrange(args):
     assert _receiver_neighbors(*args) == randrange_neighbors(*args)

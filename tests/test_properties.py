@@ -8,7 +8,16 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radionet.broadcast import BroadcastConfig, GF2Basis, _best_transmit_mask, run_broadcast
+from radionet.broadcast import (
+    CONTENT_MODELS,
+    BroadcastConfig,
+    BroadcastReport,
+    GF2Basis,
+    _best_transmit_mask,
+    _span_sample,
+    lower_bound_rounds,
+    run_broadcast,
+)
 from radionet import verifier
 from radionet.model import (
     BipartiteRadioNet,
@@ -20,6 +29,7 @@ from radionet.model import (
     radius,
     round_step,
 )
+from radionet.util import derive_rng
 from radionet.verifier import climb, max_receptions_exact, max_receptions_search
 
 
@@ -118,11 +128,15 @@ def layout_neighbors(net):
 def test_round_step_bipartite_matches_recount(net, data):
     members = data.draw(st.sets(st.integers(0, net.sender_count - 1)))
     out = round_step(net, TransmitSet.from_members(net.sender_count, members))
+    sole = {}  # each transmitter's listeners that hear it alone
     for i, receiver in enumerate(net.receivers):
         heard = [u for u in receiver.neighbors if u in members]
         assert out.received[i] == (len(heard) == 1)
         assert out.source_of[i] == (heard[0] if len(heard) == 1 else None)
+        if len(heard) == 1:
+            sole[heard[0]] = sole.get(heard[0], 0) | 1 << i
     assert out.reception_count == sum(out.received)
+    assert out.listeners == tuple(sorted(sole.items()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -131,13 +145,19 @@ def test_round_step_radius2_matches_recount(core, voids, data):
     net = Radius2Net(core, voids)
     # Any node may transmit: the source, senders, receivers and voids.
     members = data.draw(st.sets(st.integers(0, net.total_nodes - 1)))
-    out = round_step(net, TransmitSet.from_members(net.total_nodes, members))
+    transmitters = TransmitSet.from_members(net.total_nodes, members)
+    out = round_step(net, transmitters)
+    sole = {}  # each transmitter's listeners that hear it alone
     for node, nbrs in layout_neighbors(net).items():
         heard = sorted(nbrs.intersection(members))
         hears = node not in members and len(heard) == 1
         assert out.received[node] == hears
         assert out.source_of[node] == (heard[0] if hears else None)
+        if hears:
+            sole[heard[0]] = sole.get(heard[0], 0) | 1 << node
     assert out.reception_count == sum(out.received)
+    assert out.listeners == tuple(sorted(sole.items()))
+    assert not any(bits & transmitters.bits for _, bits in out.listeners)
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,7 +169,7 @@ def test_greedy_mask_equals_unfiltered_climb_on_active_receivers(core, data):
     )
     counters = np.zeros(active.receiver_count, dtype=np.int64)
     mask, _, _ = climb(active.incidence, counters, 0, flips=1 << 30)
-    assert _best_transmit_mask(core, waiting) == mask
+    assert _best_transmit_mask(core, sum(1 << r for r in waiting)) == mask
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,3 +348,95 @@ def test_rounds_used_meet_the_exact_round_bound(core, voids, k, seed):
                 assert not report.incomplete, (policy, model)
             if not report.incomplete:
                 assert report.rounds_used >= bound, (policy, model)
+
+
+def reference_broadcast(net, cfg, maxrec):
+    """run_broadcast as a per-receiver loop: every heard receiver inserts and counts.
+
+    Decoded receivers insert too, the greedy tally counts every listener,
+    and the minimum rank is recomputed each round.
+    """
+    core = net.core
+    k, n_senders = cfg.k, core.sender_count
+    bases = [GF2Basis() for _ in core.receivers]
+    receptions = [0] * core.receiver_count
+    waiting = set(range(core.receiver_count)) if k else set()
+    rounds = min(k, cfg.max_rounds) if waiting else 0
+    series = [(r, 0, 0) for r in range(1, rounds + 1)]
+    cursor = [0] * n_senders
+    while waiting and rounds < cfg.max_rounds:
+        if cfg.policy == "round_robin":
+            mask = 1 << ((rounds - k) % n_senders)
+        elif cfg.policy == "greedy_schedule":
+            mask = _best_transmit_mask(core, sum(1 << r for r in waiting))
+            if not mask:
+                break
+        else:
+            rng = derive_rng(cfg.seed, rounds + 1)
+            mask = sum(1 << u for u in range(n_senders) if rng.random() < cfg.p)
+        rounds += 1
+        hits = 0
+        if mask:
+            senders = TransmitSet(n_senders, mask)
+            source_of = round_step(core, senders).source_of
+            if cfg.content_model == "coding":
+                rng = derive_rng(cfg.seed, rounds, 1)
+                payloads = {u: _span_sample(k, rng) for u in senders.members()}
+            elif cfg.policy == "greedy_schedule":
+                payloads = {}
+                for u in set(source_of) - {None}:
+                    missing = [
+                        sum(msg not in bases[r].pivot_rows for r, v in enumerate(source_of) if v == u)
+                        for msg in range(k)
+                    ]
+                    payloads[u] = 1 << missing.index(max(missing))
+            else:
+                payloads = {}
+                for u in senders.members():
+                    payloads[u] = 1 << (cursor[u] % k)
+                    cursor[u] += 1
+            for r, u in enumerate(source_of):
+                if u is not None:
+                    hits += 1
+                    receptions[r] += 1
+                    bases[r].insert(payloads[u])
+                    if bases[r].rank >= k:
+                        waiting.discard(r)
+        series.append((rounds, hits, min(basis.rank for basis in bases)))
+    return BroadcastReport(
+        rounds_used=rounds,
+        incomplete=bool(waiting),
+        per_receiver_receptions=tuple(receptions),
+        per_receiver_decoded=tuple(basis.rank >= k for basis in bases),
+        total_receptions=sum(receptions),
+        throughput=k / rounds if rounds else None,
+        accounting_lower_bound=lower_bound_rounds(k, core.receiver_count, maxrec),
+        maxrec=maxrec,
+        maxrec_method="given",
+        series=tuple(series),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cores(max_senders=6, max_receivers=8),
+    st.booleans(),
+    st.sampled_from((0, 1, 3)),
+    st.integers(1, 30),
+    st.sampled_from((0.05, 0.5, 1.0)),
+    st.integers(0, 2**32),
+)
+# k=3 capped at 2 rounds ends inside the source phase; the last receiver
+# has no sender, and p=0.05 on two senders leaves most random_p rounds empty.
+@example(net_of(2, (0, 1), (1,)), True, 3, 2, 0.05, 7)
+@example(net_of(2, (0, 1), (1,)), True, 3, 30, 0.05, 7)
+def test_run_broadcast_matches_per_receiver_reference(core, isolated, k, cap, p, seed):
+    if isolated:  # a receiver no sender reaches: it never decodes
+        core = BipartiteRadioNet(core.sender_count, core.receivers + (Receiver(0, ()),))
+    net = Radius2Net(core, 0)
+    maxrec, _ = brute_force_maximum(core)
+    for policy, prob in (("round_robin", None), ("greedy_schedule", None), ("random_p", p)):
+        for model in CONTENT_MODELS:
+            cfg = BroadcastConfig(k=k, content_model=model, policy=policy, p=prob,
+                                  max_rounds=cap, seed=seed)
+            assert run_broadcast(net, cfg, maxrec) == reference_broadcast(net, cfg, maxrec)
