@@ -138,9 +138,9 @@ def _best_transmit_mask(net: BipartiteRadioNet, waiting: int) -> int:
     deterministic. Every flip gains at least one reception, so
     receiver_count flips always suffice.
     """
-    incidence = net.incidence[:, bit_members(waiting)]
-    counters = np.zeros(incidence.shape[1], dtype=np.int64)
-    mask, _, _ = climb(incidence, counters, 0, net.receiver_count)
+    matrix = net.incidence[:, bit_members(waiting)].astype(np.float64)
+    counters = np.zeros(matrix.shape[1], dtype=np.int64)
+    mask, _, _ = climb(matrix, counters, 0, net.receiver_count)
     return mask
 
 
@@ -170,10 +170,15 @@ def run_broadcast(
     payloads are chosen. Only receivers still waiting insert what they hear
     into their GF(2) basis: a decoded receiver's basis spans GF(2)^k, so an
     insert there could never raise its rank. Receivers are bit sets
-    throughout, and each round's receptions are added into bit-plane
-    counters, read out once at the end. The minimum decoded dimension is
-    kept incrementally, since ranks never fall. Deterministic given
-    (net, cfg). Pass a precomputed `maxrec` to skip the per-run maximization.
+    throughout. `holds[m]` collects the waiting receivers already delivered
+    the unit vector e_m; a transmitter sending e_m skips them, since e_m is
+    in their span and the insert could not raise the rank either. Every
+    routing packet is a unit vector, so routing receivers insert only the
+    messages they lack; coding packets are unit vectors only rarely. Each
+    round's receptions are added into bit-plane counters, read out once at
+    the end. The minimum decoded dimension is kept incrementally, since
+    ranks never fall. Deterministic given (net, cfg). Pass a precomputed
+    `maxrec` to skip the per-run maximization.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
@@ -197,6 +202,7 @@ def run_broadcast(
     waiting = (1 << receiver_count) - 1 if k else 0
     rounds = min(k, cfg.max_rounds) if waiting else 0  # the source phase
     series: list[tuple[int, int, int]] = [(r, 0, 0) for r in range(1, rounds + 1)]
+    holds = [0] * k  # holds[m]: the waiting receivers already delivered 1 << m
     rank_counts = [receiver_count] + [0] * k  # receivers at each rank
     min_rank = 0
     message_cursor = [0] * n_senders  # per-sender cycle position (routing)
@@ -222,15 +228,21 @@ def run_broadcast(
                 rng = derive_rng(cfg.seed, rounds, 1)
                 payloads = {u: _span_sample(k, rng) for u in senders.members()}
             elif cfg.policy == "greedy_schedule":
-                payloads = _greedy_message_choice(outcome.listeners, waiting, bases, k)
+                payloads = _greedy_message_choice(outcome.listeners, waiting, holds)
             else:
                 payloads = {}
                 for u in senders.members():
                     payloads[u] = 1 << (message_cursor[u] % k)
                     message_cursor[u] += 1
             for u, heard in outcome.listeners:
-                for r in bit_members(heard & waiting):
-                    if bases[r].insert(payloads[u]):  # the rank rose by one
+                payload = payloads[u]
+                listening = heard & waiting
+                if payload.bit_count() == 1:  # e_m: skip the receivers holding it
+                    m = payload.bit_length() - 1
+                    listening &= ~holds[m]
+                    holds[m] |= listening
+                for r in bit_members(listening):
+                    if bases[r].insert(payload):  # the rank rose by one
                         rank = bases[r].rank
                         rank_counts[rank - 1] -= 1
                         rank_counts[rank] += 1
@@ -270,23 +282,20 @@ def _add_to_planes(planes: list[int], bits: int) -> None:
 
 
 def _greedy_message_choice(
-    listeners: tuple[tuple[int, int], ...], waiting: int, bases: list[GF2Basis], k: int
+    listeners: tuple[tuple[int, int], ...], waiting: int, holds: list[int]
 ) -> dict[int, int]:
     """Each heard transmitter's routing packet: the unit vector of the message
     id missing from most of its waiting listeners, the smallest id on ties.
 
-    `listeners` holds round_step's (transmitter, listener bits) pairs and
-    `waiting` the receivers not yet decoded. A routing receiver's held ids
-    are its basis's pivots, and a decoded listener misses none, so only the
-    waiting listeners move the tally.
+    `listeners` holds round_step's (transmitter, listener bits) pairs,
+    `waiting` the receivers not yet decoded and `holds[m]` the waiting
+    receivers already delivered id m. A routing receiver holds exactly the
+    ids it was delivered, and a decoded listener misses none, so the tally
+    of id m is one popcount of the waiting listeners outside `holds[m]`.
     """
     choice = {}
     for u, heard in listeners:
-        tally = [0] * k
-        for r in bit_members(heard & waiting):
-            pivots = bases[r].pivot_rows
-            for msg in range(k):
-                if msg not in pivots:
-                    tally[msg] += 1
+        listening = heard & waiting
+        tally = [(listening & ~held).bit_count() for held in holds]
         choice[u] = 1 << tally.index(max(tally))
     return choice

@@ -26,7 +26,7 @@ from .errors import BudgetError, InputError
 # sample_instance and round_step stay module attributes here: the
 # benchmark's tracer (perfbench/spans.py) wraps them by name.
 from .instance import InstanceParams, receiver_draws, sample_instance
-from .model import BipartiteRadioNet, TransmitSet, bit_mask, round_step, sole_sender
+from .model import BipartiteRadioNet, TransmitSet, bit_mask, bit_members, round_step, sole_sender
 from .util import derive_rng
 
 #: Exhaustive enumeration is capped at 2**26 subsets.
@@ -138,28 +138,24 @@ def _half_tables(receivers_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zero, one
 
 
-def _members(mask: int, width: int) -> np.ndarray:
-    """The bits of `mask` as a 0/1 int64 vector of length `width`."""
-    return np.array([(mask >> u) & 1 for u in range(width)], dtype=np.int64)
-
-
 def climb(
-    incidence: np.ndarray, counters: np.ndarray, mask: int, flips: int
+    matrix: np.ndarray, counters: np.ndarray, mask: int, flips: int
 ) -> tuple[int, int, int]:
     """Steepest-ascent single-sender flips from `mask`, the one climb of the package.
 
-    `incidence` is a senders x receivers 0/1 matrix of the receivers that
-    count and `counters[r]` the transmitting neighbors of receiver r under
-    `mask`; the int64 counters are updated in place. Each step applies the
-    flip with the largest positive gain in receivers at exactly one
-    (smallest sender index on ties), until none improves or `flips` are
-    spent. All gains of a step are one product `incidence @ w`, with w per
-    receiver (c==0)-(c==1) for a sender turning on and (c==2)-(c==1) for
-    one turning off. Returns the final mask, the flips left and the number
-    of scans made.
+    `matrix` is a senders x receivers 0/1 float64 incidence matrix of the
+    receivers that count, converted once by the caller so that its products
+    run through BLAS, and `counters[r]` the transmitting neighbors of
+    receiver r under `mask`; the int64 counters are updated in place. Each
+    step applies the flip with the largest positive gain in receivers at
+    exactly one (smallest sender index on ties), until none improves or
+    `flips` are spent. All gains of a step are one product `matrix @ w`,
+    with w per receiver (c==0)-(c==1) for a sender turning on and
+    (c==2)-(c==1) for one turning off. Returns the final mask, the flips
+    left and the number of scans made.
     """
-    matrix = incidence.astype(np.float64)  # float products run through BLAS
-    on = _members(mask, len(incidence)).astype(bool)
+    on = np.zeros(len(matrix), dtype=bool)
+    on[list(bit_members(mask))] = True
     scans = 0
     while flips > 0:
         both = matrix @ _FLIP_WEIGHTS.take(counters, axis=0, mode="clip")
@@ -171,10 +167,8 @@ def climb(
         flips -= 1
         mask ^= 1 << best_flip
         on[best_flip] = not on[best_flip]
-        if on[best_flip]:
-            counters += incidence[best_flip]
-        else:
-            counters -= incidence[best_flip]
+        row = matrix[best_flip].astype(np.int64)
+        counters += row if on[best_flip] else -row
     return mask, flips, scans
 
 
@@ -208,9 +202,10 @@ def max_receptions_search(
     best_mask = 0
     examined = 0
     flips_left = 64 * n_prime
+    matrix = net.incidence.astype(np.float64)
     for start in starts:
-        counters = _members(start, n_prime) @ net.incidence
-        mask, flips_left, scans = climb(net.incidence, counters, start, flips_left)
+        counters = net.incidence[list(bit_members(start))].sum(axis=0, dtype=np.int64)
+        mask, flips_left, scans = climb(matrix, counters, start, flips_left)
         examined += 1 + scans * n_prime
         total = int(np.count_nonzero(counters == 1))
         if total > best or (total == best and mask < best_mask):

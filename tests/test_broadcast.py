@@ -258,16 +258,12 @@ def test_greedy_schedule_empty_when_satisfied():
 def test_greedy_message_choice_takes_smallest_most_missing_id():
     # A run cannot show this tie-break: swapping message labels maps one
     # choice onto the other, so only the choice itself is checked.
-    k = 4
-    bases = [GF2Basis() for _ in range(4)]
-    bases[0].insert(1 << 0)
-    for m in (0, 3):
-        bases[1].insert(1 << m)
-    for m in range(k):
-        bases[2].insert(1 << m)
+    # Bit r of holds[m] is set when receiver r holds id m: receiver 0 holds
+    # id 0, receiver 1 ids 0 and 3, receiver 2 (decoded) every id.
+    holds = [0b0111, 0b0100, 0b0100, 0b0110]
     # Sender 0 reaches receivers 0 and 1, which miss ids 1 and 2 twice each;
     # sender 2 reaches only decoded receiver 2; receiver 3 hears nothing.
-    choice = _greedy_message_choice(((0, 0b0011), (2, 0b0100)), 0b1011, bases, k)
+    choice = _greedy_message_choice(((0, 0b0011), (2, 0b0100)), 0b1011, holds)
     assert choice == {0: 1 << 1, 2: 1 << 0}
 
 

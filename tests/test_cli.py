@@ -329,9 +329,28 @@ PINNED_SIMULATE_DIGESTS = {
 }
 
 
-def test_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # artifacts record the net path as given
-    run_ok(["gen", "--n", "256", "--seed", "5", "--out", "g.net", "--radius2"])
+#: The same six runs at n=1024 (n' = 32, past the enumeration budget, so
+#: maxrec comes from the search), recorded before the routing receivers kept
+#: one holder set per message; any change here is a behaviour change.
+PINNED_SEARCH_SIMULATE_DIGESTS = {
+    "round_robin-routing.json": "44a82820585ccdd2cd5bdfd09ebfea94bf69ede3558d973a4cbb1087633012c7",
+    "round_robin-routing.csv": "105f73fe90fba61f8d7f83432aa08773f51c324625ced4e24a31a48cb86387ec",
+    "round_robin-coding.json": "9d80e5319dbf6bbea864615d02b65a0f38f60909ce8f211e15dd19a8d9253220",
+    "round_robin-coding.csv": "5bd3d8c754c8fdc396ea8dd8aaafb55e3e810a49f74e90be97b0cc5813b47abe",
+    "greedy_schedule-routing.json": "4105b5c741b816d375761e70c9df54b3099e332129b9f0691d3623e1dd1e319f",
+    "greedy_schedule-routing.csv": "2e151af29a0994523ba0340237cfb6cb0612eceabdd59605b3c570fa67a3d5ac",
+    "greedy_schedule-coding.json": "bd9e56c9e0b0c2fcce78b1dd33e8a665b3739ae6390f6bf292e5731fa70de5f7",
+    "greedy_schedule-coding.csv": "56e2b5146e794b4a99e509c79b4c46dc0dc282f859b4ca05bc6ffb7b810cf77a",
+    "random_p-routing.json": "eb13338a50b1e2d84475b981601a4c1e75e9f76e00e1b22bf3888685e6f39f50",
+    "random_p-routing.csv": "e12ceb731cf3bd7ba27c376fd4715fb110749a836f3a67991dcc5d3503d065f3",
+    "random_p-coding.json": "2a34564efb060dd6024fc189c8117c3c0fc264284cce1c3557ad375fc3facb5f",
+    "random_p-coding.csv": "9d3d6480da22bb3cbf2ecd9261780a2e6a641052bd9f027a6a2abff51d5f8cc3",
+}
+
+
+def simulate_six(tmp_path, n):
+    """sha256 of every artifact of the six policy x model simulate runs on one net."""
+    run_ok(["gen", "--n", str(n), "--seed", "5", "--out", "g.net", "--radius2"])
     for policy, extra in (("round_robin", []), ("greedy_schedule", []), ("random_p", ["--p", "0.0625"])):
         for model in ("routing", "coding"):
             stem = f"{policy}-{model}"
@@ -339,11 +358,21 @@ def test_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
                 ["simulate", "--net", "g.net", "--k", "16", "--policy", policy, "--model", model,
                  "--seed", "3", *extra, "--out", f"{stem}.json", "--series", f"{stem}.csv"]
             )
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in PINNED_SIMULATE_DIGESTS
-    }
+            for name in (f"{stem}.json", f"{stem}.csv"):
+                yield name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+def test_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # artifacts record the net path as given
+    digests = dict(simulate_six(tmp_path, 256))
     assert digests == PINNED_SIMULATE_DIGESTS
+
+
+def test_search_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = dict(simulate_six(tmp_path, 1024))
+    assert json.loads((tmp_path / "round_robin-routing.json").read_text())["maxrec_method"] == "search"
+    assert digests == PINNED_SEARCH_SIMULATE_DIGESTS
 
 
 def test_module_entry_point_runs_the_cli():

@@ -18,7 +18,7 @@ from radionet.broadcast import (
     lower_bound_rounds,
     run_broadcast,
 )
-from radionet import verifier
+from radionet import broadcast, verifier
 from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
@@ -168,7 +168,7 @@ def test_greedy_mask_equals_unfiltered_climb_on_active_receivers(core, data):
         core.sender_count, tuple(core.receivers[r] for r in sorted(waiting))
     )
     counters = np.zeros(active.receiver_count, dtype=np.int64)
-    mask, _, _ = climb(active.incidence, counters, 0, flips=1 << 30)
+    mask, _, _ = climb(active.incidence.astype(np.float64), counters, 0, flips=1 << 30)
     assert _best_transmit_mask(core, sum(1 << r for r in waiting)) == mask
 
 
@@ -177,7 +177,7 @@ def test_greedy_mask_equals_unfiltered_climb_on_active_receivers(core, data):
 def test_climb_stops_at_a_local_maximum(core, data):
     start = data.draw(st.integers(0, (1 << core.sender_count) - 1))
     counters = start_counters(core, start)
-    mask, _, _ = climb(core.incidence, counters, start, flips=1 << 30)
+    mask, _, _ = climb(core.incidence.astype(np.float64), counters, start, flips=1 << 30)
     here = round_step(core, TransmitSet(core.sender_count, mask))
     assert counters.tolist().count(1) == here.reception_count
     for u in range(core.sender_count):
@@ -229,7 +229,7 @@ def test_climb_matches_reference_loops(core, data):
     expected_counters = start_counters(core, start).tolist()
     expected = reference_climb(sender_adj, expected_counters, start, flips)
     counters = start_counters(core, start)
-    assert climb(core.incidence, counters, start, flips) == expected
+    assert climb(core.incidence.astype(np.float64), counters, start, flips) == expected
     assert counters.tolist() == expected_counters
 
 
@@ -381,7 +381,7 @@ def reference_broadcast(net, cfg, maxrec):
             source_of = round_step(core, senders).source_of
             if cfg.content_model == "coding":
                 rng = derive_rng(cfg.seed, rounds, 1)
-                payloads = {u: _span_sample(k, rng) for u in senders.members()}
+                payloads = {u: broadcast._span_sample(k, rng) for u in senders.members()}
             elif cfg.policy == "greedy_schedule":
                 payloads = {}
                 for u in set(source_of) - {None}:
@@ -425,12 +425,22 @@ def reference_broadcast(net, cfg, maxrec):
     st.integers(1, 30),
     st.sampled_from((0.05, 0.5, 1.0)),
     st.integers(0, 2**32),
+    st.just(_span_sample),
 )
 # k=3 capped at 2 rounds ends inside the source phase; the last receiver
 # has no sender, and p=0.05 on two senders leaves most random_p rounds empty.
-@example(net_of(2, (0, 1), (1,)), True, 3, 2, 0.05, 7)
-@example(net_of(2, (0, 1), (1,)), True, 3, 30, 0.05, 7)
-def test_run_broadcast_matches_per_receiver_reference(core, isolated, k, cap, p, seed):
+@example(net_of(2, (0, 1), (1,)), True, 3, 2, 0.05, 7, _span_sample)
+@example(net_of(2, (0, 1), (1,)), True, 3, 30, 0.05, 7, _span_sample)
+# Seed 9 codes 0b11 and then 0b10 to the lone receiver: its row led by bit 1
+# is not e_1, so e_1 must still be inserted, and raises the rank to 2.
+@example(net_of(1, (0,)), False, 2, 30, 1.0, 9, _span_sample)
+# The sampler's all-zero fallback packet is no unit vector and must not mark
+# anyone as holding a message; the second sampler mixes it with e_2.
+@example(net_of(2, (0,), (0, 1), (1,)), False, 3, 30, 0.5, 7, lambda k, rng: 0)
+@example(net_of(2, (0,), (0, 1), (1,)), False, 3, 30, 0.5, 7,
+         lambda k, rng: rng.choice((0, 1 << (k - 1))))
+def test_run_broadcast_matches_per_receiver_reference(core, isolated, k, cap, p, seed,
+                                                      span_sample):
     if isolated:  # a receiver no sender reaches: it never decodes
         core = BipartiteRadioNet(core.sender_count, core.receivers + (Receiver(0, ()),))
     net = Radius2Net(core, 0)
@@ -439,4 +449,5 @@ def test_run_broadcast_matches_per_receiver_reference(core, isolated, k, cap, p,
         for model in CONTENT_MODELS:
             cfg = BroadcastConfig(k=k, content_model=model, policy=policy, p=prob,
                                   max_rounds=cap, seed=seed)
-            assert run_broadcast(net, cfg, maxrec) == reference_broadcast(net, cfg, maxrec)
+            with mock.patch.object(broadcast, "_span_sample", span_sample):
+                assert run_broadcast(net, cfg, maxrec) == reference_broadcast(net, cfg, maxrec)
