@@ -10,12 +10,12 @@ degree-1 void nodes to pad the network to exactly n nodes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, Receiver
-from .util import derive_rng
+from .model import BipartiteRadioNet, Radius2Net, Receiver, bit_members
 
 
 @dataclass(frozen=True)
@@ -46,52 +46,73 @@ class InstanceParams:
         return self.n_prime * self.class_count
 
 
-def _receiver_neighbors(seed: int, receiver_index: int, sender_count: int, degree: int) -> tuple[int, ...]:
-    """Uniform random `degree`-subset of senders for one receiver.
+def _receiver_masks(
+    gen: random.Random, seed: int, first: int, count: int, sender_count: int, degree: int
+) -> list[int]:
+    """Neighbor masks of receivers first .. first + count - 1, each a uniform `degree`-subset.
 
-    Partial Fisher-Yates shuffle seeded from (seed, receiver_index) only, so
-    every receiver can be regenerated independently of iteration order or
-    worker layout. Swap t takes its offset below width = sender_count - t
-    straight from getrandbits(width.bit_length()), redrawn while it is not
-    below width: the draw randrange(t, sender_count) makes on CPython 3.11,
-    so the stream, and every generated file, stays that of randrange. A
-    full-degree receiver takes every sender whatever the draws, and its
-    generator feeds no other receiver, so it skips them.
+    Receiver i is a partial Fisher-Yates shuffle seeded from (seed, i) only,
+    so every receiver can be regenerated independently of iteration order.
+    `gen` is reseeded before each receiver through the C-level seed of
+    `random.Random` with the key (seed << 64) | i: the key and the state of
+    `derive_rng(seed, i)`, without building a generator or going through
+    `random.py`'s Python seed wrapper. Swap t takes its offset below
+    width = sender_count - t straight from getrandbits(width.bit_length()),
+    redrawn while it is not below width: the draw randrange(t, sender_count)
+    makes on CPython 3.11, so the stream, and every generated file, stays
+    that of randrange. The pool holds each sender as its bit, and the sender
+    swapped into place t is ORed into the mask. A full-degree receiver takes
+    every sender whatever the draws, and its stream feeds no other
+    receiver, so it skips them.
     """
     if degree == sender_count:
-        return tuple(range(sender_count))
-    getrandbits = derive_rng(seed, receiver_index).getrandbits
-    pool = list(range(sender_count))
-    for t in range(degree):
-        width = sender_count - t
-        bits = width.bit_length()
-        offset = getrandbits(bits)
-        while offset >= width:
+        return [(1 << sender_count) - 1] * count
+    reseed = super(random.Random, gen).seed
+    getrandbits = gen.getrandbits
+    steps = [(t, sender_count - t, (sender_count - t).bit_length()) for t in range(degree)]
+    senders = [1 << u for u in range(sender_count)]
+    key = seed << 64
+    masks = []
+    for index in range(first, first + count):
+        reseed(key | index)
+        pool = senders[:]
+        mask = 0
+        for t, width, bits in steps:
             offset = getrandbits(bits)
-        swap = t + offset
-        pool[t], pool[swap] = pool[swap], pool[t]
-    return tuple(sorted(pool[:degree]))
+            while offset >= width:
+                offset = getrandbits(bits)
+            swap = t + offset
+            mask |= pool[swap]
+            pool[swap] = pool[t]
+        masks.append(mask)
+    return masks
 
 
-def receiver_draws(params: InstanceParams) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(class_index, neighbors) of every receiver of the instance, in receiver order.
+def _receiver_neighbors(seed: int, receiver_index: int, sender_count: int, degree: int) -> tuple[int, ...]:
+    """One receiver's neighbors, ascending: the one-receiver case of `_receiver_masks`."""
+    (mask,) = _receiver_masks(random.Random(), seed, receiver_index, 1, sender_count, degree)
+    return bit_members(mask)
+
+
+def receiver_draws(params: InstanceParams) -> Iterator[tuple[int, int]]:
+    """(class_index, neighbor mask) of every receiver of the instance, in receiver order.
 
     Receivers are laid out class-major (all of class 1, then class 2, ...),
     and each one's neighbor set is an independent uniform 2**i-subset of the
-    senders.
+    senders, bit u set iff sender u is a neighbor. One local generator,
+    reseeded per receiver, draws them all.
     """
     n_prime = params.n_prime
-    index = 0
+    gen = random.Random()  # reseeded before every receiver's draws
     for class_index in range(1, params.class_count + 1):
-        degree = 1 << class_index
-        for _ in range(n_prime):
-            yield class_index, _receiver_neighbors(params.seed, index, n_prime, degree)
-            index += 1
+        first = (class_index - 1) * n_prime
+        for mask in _receiver_masks(gen, params.seed, first, n_prime, n_prime, 1 << class_index):
+            yield class_index, mask
 
 
 def sample_instance(params: InstanceParams) -> BipartiteRadioNet:
     """Draw one random instance; deterministic given the seed (see receiver_draws)."""
-    receivers = tuple(Receiver(class_index, nbrs) for class_index, nbrs in receiver_draws(params))
+    receivers = tuple(Receiver(class_index, bit_members(mask)) for class_index, mask in receiver_draws(params))
     return BipartiteRadioNet(params.n_prime, receivers, class_count=params.class_count)
 
 

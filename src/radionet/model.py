@@ -27,7 +27,7 @@ in the package uses one of them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -44,7 +44,7 @@ class Receiver:
     """One receiver: its degree class and its sorted sender neighbor list.
 
     Generated instances keep degree == 2**class_index; hand-built nets may
-    violate that, which `validate` reports rather than rejecting here.
+    violate that, and neither construction nor loading rejects it.
     class_index 0 is the degenerate class for hand-built degree-1 receivers.
     """
 
@@ -353,33 +353,6 @@ def _eccentricity(adjacency: tuple[tuple[int, ...], ...], start: int) -> Union[i
             return depth if all(seen) else math.inf
         frontier = layer
         depth += 1
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Invariant check results; `violations` is empty when the net is clean."""
-
-    violations: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(net: BipartiteRadioNet) -> ValidationReport:
-    """Check structural invariants and report every violation found.
-
-    Never raises: the report carries failures with receiver indices so
-    callers can inspect malformed inputs.
-    """
-    problems = _structure_problems(net)
-    for i, receiver in enumerate(net.receivers):
-        c = receiver.class_index
-        if c >= 0 and receiver.degree != 1 << c:
-            problems.append(
-                f"receiver {i}: degree {receiver.degree} != 2^{c} (degree != 2^i for class {c})"
-            )
-    return ValidationReport(tuple(problems))
 
 
 def _structure_problems(net: BipartiteRadioNet) -> list[str]:

@@ -26,7 +26,7 @@ from .errors import BudgetError, InputError
 # sample_instance and round_step stay module attributes here: the
 # benchmark's tracer (perfbench/spans.py) wraps them by name.
 from .instance import InstanceParams, receiver_draws, sample_instance
-from .model import BipartiteRadioNet, TransmitSet, bit_mask, bit_members, round_step, sole_sender
+from .model import BipartiteRadioNet, TransmitSet, bit_members, round_step, sole_sender
 from .util import derive_rng
 
 #: Exhaustive enumeration is capped at 2**26 subsets.
@@ -296,8 +296,8 @@ def monte_carlo_expectation(
     for _ in range(trials):
         trial = InstanceParams(params.n, rng.getrandbits(64))
         count = 0
-        for _, neighbors in receiver_draws(trial):
-            if sole_sender(bit_mask(neighbors), transmitters) is not None:
+        for _, mask in receiver_draws(trial):
+            if sole_sender(mask, transmitters) is not None:
                 count += 1
         total += count
         total_sq += count * count

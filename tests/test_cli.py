@@ -8,21 +8,21 @@ import pytest
 
 import radionet
 from radionet.cli import _write_csv, dispatch
-from radionet.model import load, validate
+from radionet.model import load
 
 
 def run_ok(argv):
     assert dispatch(argv) == 0
 
 
-def test_gen_writes_loadable_net(tmp_path, capsys):
+def test_gen_writes_loadable_net(tmp_path, capsys, instance_problems):
     out = tmp_path / "h.net"
     run_ok(["gen", "--n", "256", "--seed", "7", "--out", str(out)])
     summary = json.loads(capsys.readouterr().out)
     assert summary["senders"] == 16
     assert summary["receivers"] == 64
     net = load(str(out))
-    assert validate(net).ok
+    assert instance_problems(net) == []
     assert net.sender_count + net.receiver_count == 80
 
 

@@ -9,9 +9,10 @@ from radionet.instance import (
     InstanceParams,
     _receiver_neighbors,
     build_radius2,
+    receiver_draws,
     sample_instance,
 )
-from radionet.model import dumps, validate
+from radionet.model import bit_mask, dumps
 
 # chi-square critical value, 5 degrees of freedom, p = 0.001
 CHI2_CRIT_DF5 = 20.515005652432873
@@ -39,7 +40,7 @@ def test_params_reject_bad_seed():
         InstanceParams(16, seed=2**64)
 
 
-def test_sample_instance_shape_n256():
+def test_sample_instance_shape_n256(instance_problems):
     net = sample_instance(InstanceParams(256, seed=7))
     assert net.sender_count == 16
     assert net.class_count == 4
@@ -47,7 +48,7 @@ def test_sample_instance_shape_n256():
     degrees = sorted({r.degree for r in net.receivers})
     assert degrees == [2, 4, 8, 16]
     assert net.sender_count + net.receiver_count == 80 < 256
-    assert validate(net).ok
+    assert instance_problems(net) == []
 
 
 def test_sample_instance_tiny_n4():
@@ -147,3 +148,18 @@ def draws(draw):
 @example((12345, 383, 64, 64))  # the full-degree top class of an n=4096 instance
 def test_receiver_neighbors_match_randrange(args):
     assert _receiver_neighbors(*args) == randrange_neighbors(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 16, 64, 256]), st.integers(0, 2**64 - 1))
+@example(256, 0)
+@example(4, 2**64 - 1)
+def test_receiver_draws_match_randrange(n, seed):
+    # Pins the class-major receiver index and the all-ones top class.
+    params = InstanceParams(n, seed)
+    n_prime = params.n_prime
+    drawn = list(receiver_draws(params))
+    assert len(drawn) == params.receiver_count
+    for i, (class_index, mask) in enumerate(drawn):
+        assert class_index == 1 + i // n_prime
+        assert mask == bit_mask(randrange_neighbors(seed, i, n_prime, 1 << class_index))

@@ -10,11 +10,11 @@ from radionet.model import (
     Radius2Net,
     Receiver,
     TransmitSet,
+    _structure_problems,
     dumps,
     loads,
     radius,
     round_step,
-    validate,
 )
 
 
@@ -123,31 +123,31 @@ def test_radius_disconnected_reports_infinity():
     assert math.isinf(radius(broken))
 
 
-def test_validate_generated_instance_is_clean():
+def test_validate_generated_instance_is_clean(instance_problems):
     for seed in (0, 1, 99):
-        report = validate(sample_instance(InstanceParams(64, seed=seed)))
-        assert report.ok
-        assert report.violations == ()
+        assert instance_problems(sample_instance(InstanceParams(64, seed=seed))) == []
 
 
 def test_validate_flags_duplicate_neighbor():
-    net = BipartiteRadioNet(4, (Receiver(1, (3, 3)),))
-    report = validate(net)
-    assert not report.ok
-    assert any("duplicate neighbor" in v for v in report.violations)
+    with pytest.raises(InputError, match="duplicate neighbor"):
+        loads("radionet v1 4 1\n1 3 3\n")
 
 
-def test_validate_flags_wrong_class_degree():
+def test_validate_flags_wrong_class_degree(class_degree_problems):
     net = BipartiteRadioNet(4, (Receiver(2, (0, 1, 2)),))
-    report = validate(net)
-    assert any("degree" in v for v in report.violations)
+    assert _structure_problems(net) == []  # loading accepts it
+    assert class_degree_problems(net) == ["receiver 0: degree 3 != 2^2"]
 
 
 def test_validate_flags_out_of_range_and_unsorted():
     net = BipartiteRadioNet(2, (Receiver(1, (1, 0)), Receiver(0, (7,))))
-    messages = "\n".join(validate(net).violations)
+    messages = "\n".join(_structure_problems(net))
     assert "not sorted" in messages
     assert "out of range" in messages
+    with pytest.raises(InputError, match="not sorted"):
+        loads("radionet v1 2 1\n1 1 0\n")
+    with pytest.raises(InputError, match="out of range"):
+        loads("radionet v1 2 1\n0 7\n")
 
 
 def test_sender_count_must_be_positive():

@@ -225,7 +225,9 @@ def monte_carlo_by_nets(params, s, trials, seed):
 @pytest.mark.parametrize(
     "n, s, trials, seed",
     [(4, 1, 40, 0), (16, 2, 200, 5), (64, 3, 60, 9), (256, 5, 40, 77), (256, 16, 3, 1),
-     (1024, 7, 1, 4), (4096, 20, 2, 123)],
+     (1024, 7, 1, 4), (4096, 20, 2, 123),
+     # s = 1: the full-degree top class hears the round; s = n': no sender is left out
+     (16, 1, 100, 3), (64, 1, 50, 8), (64, 8, 50, 2)],
 )
 def test_monte_carlo_equals_net_building_reference(n, s, trials, seed):
     estimate = monte_carlo_expectation(InstanceParams(n), s, trials, seed)
