@@ -236,9 +236,9 @@ def _cmd_simulate(args) -> None:
     net = load_net(args.net)
     if not isinstance(net, Radius2Net):
         raise InputError("simulate needs a radius-2 network file (gen --radius2)")
-    masks = net.core.neighbor_masks
-    if 0 in masks:
-        raise InputError(f"receiver {masks.index(0)} has no sender neighbour; no broadcast reaches it")
+    for i, receiver in enumerate(net.core.receivers):
+        if not receiver.neighbors:
+            raise InputError(f"receiver {i} has no sender neighbour; no broadcast reaches it")
     cfg = BroadcastConfig(
         k=args.k,
         content_model=args.model,
@@ -310,6 +310,9 @@ def _cmd_report(args) -> None:
             cells = [data["rounds_used"], data["accounting_lower_bound"], data["throughput"]]
         except KeyError as exc:
             raise InputError(f"{path} is not a simulate artifact: missing {exc}") from exc
+        for field, value, kind in zip(("n", "seed", "policy", "k"), key, (int, int, str, int)):
+            if type(value) is not kind:  # a bool is no int here; mixed types cannot be sorted
+                raise InputError(f"{path} is not a simulate artifact: {field} {value!r} is not {kind.__name__}")
         rendered = ",".join("" if cell is None else str(cell) for cell in cells)
         rows.append((key, f"{key[0]},{key[1]},{key[2]},{key[3]},{rendered}"))
     rows.sort()

@@ -88,12 +88,6 @@ def _receiver_masks(
     return masks
 
 
-def _receiver_neighbors(seed: int, receiver_index: int, sender_count: int, degree: int) -> tuple[int, ...]:
-    """One receiver's neighbors, ascending: the one-receiver case of `_receiver_masks`."""
-    (mask,) = _receiver_masks(random.Random(), seed, receiver_index, 1, sender_count, degree)
-    return bit_members(mask)
-
-
 def receiver_draws(params: InstanceParams) -> Iterator[tuple[int, int]]:
     """(class_index, neighbor mask) of every receiver of the instance, in receiver order.
 

@@ -10,15 +10,18 @@ side and class-structured receivers on the other, with adjacency stored
 receiver-side only (the sender-side incidence matrix and reach masks are
 derived on demand and cached). `Radius2Net` wraps a bipartite core with a
 single source node attached to every sender plus optional degree-1 void
-nodes, giving a connected network of radius 2.
+nodes, giving a connected network of radius 2. Rounds run on the core
+only: senders transmit and receivers listen. The source alone reaches
+every sender and no receiver, so a broadcast plays the source's rounds
+without evaluating them.
 
 The rule has two forms on Python int bit sets, and every exactly-one test
 in the package uses one of them:
 
 - receiver side (`sole_sender`, used by Monte Carlo): a node with neighbor
   mask m hears transmit set T iff x = m & T is nonzero and x & (x - 1) == 0;
-- sender side (`round_step`): fold each transmitter's reach mask, the
-  listeners it reaches, into the listeners at exactly one and at two or
+- sender side (`round_step`): fold each transmitting sender's reach mask,
+  the receivers it reaches, into the receivers at exactly one and at two or
   more transmitting neighbors, `many |= one & m; one = (one | m) & ~many`.
   The rest are at zero. These are the zero and one bit sets of the
   exhaustive enumeration's half tables (`verifier._half_tables`).
@@ -43,8 +46,8 @@ FORMAT_HEADER = "radionet v1"
 class Receiver:
     """One receiver: its degree class and its sorted sender neighbor list.
 
-    Generated instances keep degree == 2**class_index; hand-built nets may
-    violate that, and neither construction nor loading rejects it.
+    Generated instances keep len(neighbors) == 2**class_index; hand-built
+    nets may violate that, and neither construction nor loading rejects it.
     class_index 0 is the degenerate class for hand-built degree-1 receivers.
     """
 
@@ -53,10 +56,6 @@ class Receiver:
 
     def __post_init__(self):
         object.__setattr__(self, "neighbors", tuple(int(u) for u in self.neighbors))
-
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
 
 
 @dataclass(frozen=True)
@@ -88,18 +87,13 @@ class BipartiteRadioNet:
     def incidence(self) -> np.ndarray:
         """Senders x receivers 0/1 matrix: entry (u, r) is 1 iff u is a neighbor of r.
 
-        Derived, cached and read-only, like the neighbor masks.
+        Derived, cached and read-only, like the reach masks.
         """
         matrix = np.zeros((self.sender_count, self.receiver_count), dtype=np.int8)
         for idx, receiver in enumerate(self.receivers):
             matrix[list(receiver.neighbors), idx] = 1
         matrix.setflags(write=False)
         return matrix
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Each receiver's senders as a bit mask: bit u is set iff u is a neighbor."""
-        return tuple(bit_mask(r.neighbors) for r in self.receivers)
 
     @cached_property
     def reach_masks(self) -> tuple[int, ...]:
@@ -147,7 +141,7 @@ class Radius2Net:
 
     The source is adjacent to every sender and every void node; voids have
     no other edges. Node ids are laid out source, senders, receivers, voids
-    so a transmit set over the whole network is a single bit-vector.
+    for `adjacency` and `radius`. Rounds are evaluated on `core`.
     """
 
     core: BipartiteRadioNet
@@ -196,21 +190,16 @@ class Radius2Net:
             adj[self.void_node(t)].append(self.SOURCE)
         return tuple(tuple(sorted(l)) for l in adj)
 
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Each node's neighbors as a bit mask over the node-id layout."""
-        return tuple(bit_mask(nbrs) for nbrs in self.adjacency)
-
 
 RadioNet = Union[BipartiteRadioNet, Radius2Net]
 
 
 @dataclass(frozen=True)
 class TransmitSet:
-    """A set of transmitting node ids as a fixed-width bit-vector.
+    """A set of transmitting senders as a fixed-width bit-vector.
 
-    For a bipartite net the width is sender_count and bits index senders;
-    for a radius-2 net the width is total_nodes and bits index any node.
+    The width is the core's sender_count, and bit u is set iff sender u
+    transmits.
     """
 
     width: int
@@ -224,24 +213,8 @@ class TransmitSet:
                 f"transmit mask {self.bits:#x} out of range for width {self.width}"
             )
 
-    @classmethod
-    def from_members(cls, width: int, members: Iterable[int]) -> "TransmitSet":
-        bits = 0
-        for m in members:
-            m = int(m)
-            if not 0 <= m < width:
-                raise InputError(f"node id {m} out of range [0, {width})")
-            bits |= 1 << m
-        return cls(width, bits)
-
     def members(self) -> tuple[int, ...]:
         return bit_members(self.bits)
-
-    def __contains__(self, node: int) -> bool:
-        return 0 <= node < self.width and bool((self.bits >> node) & 1)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
 
     @property
     def hex_mask(self) -> str:
@@ -250,16 +223,13 @@ class TransmitSet:
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """Result of one round: who received, and from whom, as listener bit sets.
+    """Result of one round on a core, as receiver bit sets.
 
-    Listeners are receivers for a bipartite net and node ids for a radius-2
-    net; `size` is their number. `heard` holds the listeners that received,
-    and `listeners` one `(u, bits)` pair per transmitter u that delivered
-    anything, in ascending u, with `bits` the listeners whose single
-    transmitting neighbor is u. The per-listener views are derived on demand.
+    `heard` holds the receivers that received, and `listeners` one
+    `(u, bits)` pair per sender u that delivered anything, in ascending u,
+    with `bits` the receivers whose single transmitting neighbor is u.
     """
 
-    size: int
     heard: int
     listeners: tuple[tuple[int, int], ...]
 
@@ -267,50 +237,29 @@ class RoundOutcome:
     def reception_count(self) -> int:
         return self.heard.bit_count()
 
-    @cached_property
-    def received(self) -> tuple[bool, ...]:
-        """`received[i]`: whether listener i received a packet."""
-        return tuple(bool(self.heard >> i & 1) for i in range(self.size))
 
-    @cached_property
-    def source_of(self) -> tuple[Optional[int], ...]:
-        """`source_of[i]`: the transmitter that delivered listener i's packet, or None."""
-        sources: list[Optional[int]] = [None] * self.size
-        for u, bits in self.listeners:
-            for i in bit_members(bits):
-                sources[i] = u
-        return tuple(sources)
+def round_step(net: BipartiteRadioNet, transmitters: TransmitSet) -> RoundOutcome:
+    """Evaluate one synchronous round of the exactly-one reception rule on a core.
 
-
-def round_step(net: RadioNet, transmitters: TransmitSet) -> RoundOutcome:
-    """Evaluate one synchronous round of the exactly-one reception rule.
-
-    Pure function: identical inputs give identical outcomes. Listening node
-    v receives iff exactly one neighbor of v transmits; transmitting nodes
-    never receive. Works from the sender side: O(|T|) big-int operations on
-    the transmitters' reach masks (the neighbor masks of a radius-2 net,
-    which are undirected), not one step per listener.
+    Pure function: identical inputs give identical outcomes. Receiver r
+    receives iff exactly one of its senders transmits. Works from the sender
+    side: O(|T|) big-int operations on the transmitters' reach masks, not
+    one step per receiver. Any other net type, a `Radius2Net` included, is
+    an InputError; so is a transmit set whose width is not sender_count.
     """
-    if isinstance(net, Radius2Net):
-        width, size = net.total_nodes, net.total_nodes
-        reach = net.neighbor_masks
-    elif isinstance(net, BipartiteRadioNet):
-        width, size = net.sender_count, net.receiver_count
-        reach = net.reach_masks
-    else:
+    if not isinstance(net, BipartiteRadioNet):
         raise InputError(f"unsupported network type {type(net).__name__}")
-    if transmitters.width != width:
-        raise InputError(f"transmit set width {transmitters.width} != net width {width}")
+    if transmitters.width != net.sender_count:
+        raise InputError(f"transmit set width {transmitters.width} != sender count {net.sender_count}")
+    reach = net.reach_masks
     members = transmitters.members()
     one = many = 0
     for u in members:
         m = reach[u]
         many |= one & m
         one = (one | m) & ~many
-    if isinstance(net, Radius2Net):
-        one &= ~transmitters.bits  # transmitting nodes never receive
     listeners = tuple((u, heard) for u in members if (heard := reach[u] & one))
-    return RoundOutcome(size, one, listeners)
+    return RoundOutcome(one, listeners)
 
 
 def radius(net: Radius2Net) -> Union[int, float]:

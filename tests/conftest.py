@@ -7,9 +7,9 @@ from radionet.model import _structure_problems
 
 def _class_degree_problems(net):
     return [
-        f"receiver {i}: degree {r.degree} != 2^{r.class_index}"
+        f"receiver {i}: degree {len(r.neighbors)} != 2^{r.class_index}"
         for i, r in enumerate(net.receivers)
-        if r.class_index >= 0 and r.degree != 1 << r.class_index
+        if r.class_index >= 0 and len(r.neighbors) != 1 << r.class_index
     ]
 
 

@@ -260,6 +260,25 @@ def test_report_rejects_foreign_artifact(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field,value",
+    [("n", None), ("n", [16]), ("n", True), ("n", 16.0), ("seed", "3"), ("k", False),
+     ("policy", 7)],
+)
+def test_report_rejects_key_of_wrong_type(tmp_path, capsys, field, value):
+    # Keys of mixed types cannot be sorted: the bad input is refused, not a traceback.
+    artifact = {"schema_version": 1, "n": 16, "seed": 3, "policy": "round_robin", "k": 2,
+                "rounds_used": 9, "accounting_lower_bound": 4, "throughput": 0.25}
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "m.csv"
+    good.write_text(json.dumps(artifact))
+    bad.write_text(json.dumps({**artifact, field: value}))
+    assert dispatch(["report", str(good), str(bad), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "input"
+    assert str(bad) in err["error"] and field in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "content",
     [
         b"radionet v1 1 1\n1 0 0\n",  # sender listed twice

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from radionet.errors import InputError
 from radionet.instance import (
     InstanceParams,
-    _receiver_neighbors,
+    _receiver_masks,
     build_radius2,
     receiver_draws,
     sample_instance,
@@ -45,7 +45,7 @@ def test_sample_instance_shape_n256(instance_problems):
     assert net.sender_count == 16
     assert net.class_count == 4
     assert net.receiver_count == 64
-    degrees = sorted({r.degree for r in net.receivers})
+    degrees = sorted({len(r.neighbors) for r in net.receivers})
     assert degrees == [2, 4, 8, 16]
     assert net.sender_count + net.receiver_count == 80 < 256
     assert instance_problems(net) == []
@@ -63,8 +63,8 @@ def test_class_degrees_are_exact_and_distinct():
         for i, receiver in enumerate(net.receivers):
             expected_class = 1 + i // net.sender_count
             assert receiver.class_index == expected_class
-            assert receiver.degree == 1 << expected_class
-            assert len(set(receiver.neighbors)) == receiver.degree
+            assert len(receiver.neighbors) == 1 << expected_class
+            assert len(set(receiver.neighbors)) == len(receiver.neighbors)
             assert list(receiver.neighbors) == sorted(receiver.neighbors)
 
 
@@ -88,8 +88,9 @@ def test_receiver_sampling_independent_of_order():
     net = sample_instance(params)
     for index in (0, 7, 23):
         receiver = net.receivers[index]
-        regenerated = _receiver_neighbors(params.seed, index, 8, receiver.degree)
-        assert regenerated == receiver.neighbors
+        degree = len(receiver.neighbors)
+        regenerated = _receiver_masks(random.Random(), params.seed, index, 1, 8, degree)
+        assert regenerated == [bit_mask(receiver.neighbors)]
 
 
 def test_neighbor_pairs_are_uniform():
@@ -97,8 +98,9 @@ def test_neighbor_pairs_are_uniform():
     # possible pairs should be equally likely.
     counts = {}
     trials = 100_000
+    gen = random.Random()  # reseeded before every receiver
     for seed in range(trials):
-        pair = _receiver_neighbors(seed, 0, 4, 2)
+        (pair,) = _receiver_masks(gen, seed, 0, 1, 4, 2)
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 6
     expected = trials / 6
@@ -147,7 +149,9 @@ def draws(draw):
 @example((11, 2, 129, 64))
 @example((12345, 383, 64, 64))  # the full-degree top class of an n=4096 instance
 def test_receiver_neighbors_match_randrange(args):
-    assert _receiver_neighbors(*args) == randrange_neighbors(*args)
+    seed, receiver_index, sender_count, degree = args
+    drawn = _receiver_masks(random.Random(), seed, receiver_index, 1, sender_count, degree)
+    assert drawn == [bit_mask(randrange_neighbors(*args))]
 
 
 @settings(max_examples=40, deadline=None)

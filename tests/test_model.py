@@ -11,6 +11,7 @@ from radionet.model import (
     Receiver,
     TransmitSet,
     _structure_problems,
+    bit_mask,
     dumps,
     loads,
     radius,
@@ -26,27 +27,27 @@ def toy_net():
 def test_round_step_nobody_transmits():
     out = round_step(toy_net(), TransmitSet(2, 0))
     assert out.reception_count == 0
-    assert out.received == (False, False)
+    assert (out.heard, out.listeners) == (0, ())
 
 
 def test_round_step_single_transmitter_reaches_both():
-    out = round_step(toy_net(), TransmitSet.from_members(2, [0]))
-    assert out.received == (True, True)
+    out = round_step(toy_net(), TransmitSet(2, 0b01))
+    assert out.heard == 0b11
     assert out.reception_count == 2
-    assert out.source_of == (0, 0)
+    assert out.listeners == ((0, 0b11),)
 
 
 def test_round_step_collision_drops_shared_receiver():
-    out = round_step(toy_net(), TransmitSet.from_members(2, [0, 1]))
-    assert out.received == (True, False)
+    out = round_step(toy_net(), TransmitSet(2, 0b11))
+    assert out.heard == 0b01
     assert out.reception_count == 1
-    assert out.source_of == (0, None)
+    assert out.listeners == ((0, 0b01),)  # sender b delivers nothing, so it has no pair
 
 
 def test_monotonicity_failure_witness():
     # A bigger transmit set can deliver less: collisions are not monotone.
-    small = round_step(toy_net(), TransmitSet.from_members(2, [0]))
-    big = round_step(toy_net(), TransmitSet.from_members(2, [0, 1]))
+    small = round_step(toy_net(), TransmitSet(2, 0b01))
+    big = round_step(toy_net(), TransmitSet(2, 0b11))
     assert small.reception_count > big.reception_count
 
 
@@ -60,51 +61,40 @@ def test_round_step_matches_independent_recount():
         )
         net = BipartiteRadioNet(senders, receivers)
         members = [u for u in range(senders) if rng.random() < 0.5]
-        out = round_step(net, TransmitSet.from_members(senders, members))
-        chosen = set(members)
+        out = round_step(net, TransmitSet(senders, bit_mask(members)))
+        sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
         for i, receiver in enumerate(receivers):
-            hits = sum(1 for u in receiver.neighbors if u in chosen)
-            assert out.received[i] == (hits == 1)
-            if hits == 1:
-                assert out.source_of[i] in chosen
-        assert out.reception_count == sum(out.received)
+            hits = [u for u in receiver.neighbors if u in members]
+            if len(hits) == 1:
+                sole[hits[0]] = sole.get(hits[0], 0) | 1 << i
+                heard.append(i)
+        assert out.listeners == tuple(sorted(sole.items()))
+        assert out.heard == bit_mask(heard)
+        assert out.reception_count == len(heard)
 
 
 def test_round_step_is_pure():
     net = toy_net()
-    ts = TransmitSet.from_members(2, [0, 1])
+    ts = TransmitSet(2, 0b11)
     assert round_step(net, ts) == round_step(net, ts)
-
-
-def test_round_step_radius2_whole_network():
-    net = build_radius2(toy_net(), 6)  # one void node
-    assert net.void_count == 1
-    # Source and sender a transmit together.
-    ts = TransmitSet.from_members(net.total_nodes, [net.SOURCE, net.sender_node(0)])
-    out = round_step(net, ts)
-    assert not out.received[net.sender_node(0)]  # transmitting nodes never receive
-    assert not out.received[net.SOURCE]
-    assert out.received[net.sender_node(1)]  # hears only the source
-    assert out.received[net.receiver_node(0)]  # hears only sender a
-    assert out.received[net.receiver_node(1)]
-    assert out.received[net.void_node(0)]
-    assert out.reception_count == 4
 
 
 def test_transmit_set_rejects_out_of_range():
     with pytest.raises(InputError):
-        TransmitSet.from_members(2, [2])
-    with pytest.raises(InputError):
         TransmitSet(2, 1 << 5)
     with pytest.raises(InputError):
-        round_step(toy_net(), TransmitSet(3, 0b100))
+        round_step(toy_net(), TransmitSet(3, 0b100))  # wider than sender_count
+    with pytest.raises(InputError):
+        round_step(toy_net(), TransmitSet(1, 0b1))  # narrower
+    wrapped = build_radius2(toy_net(), 6)
+    for width in (2, wrapped.total_nodes):  # rounds run on the core only
+        with pytest.raises(InputError, match="unsupported network type Radius2Net"):
+            round_step(wrapped, TransmitSet(width, 0b10))
 
 
 def test_transmit_set_members_roundtrip():
-    ts = TransmitSet.from_members(6, [5, 1, 3])
+    ts = TransmitSet(6, bit_mask([5, 1, 3]))
     assert ts.members() == (1, 3, 5)
-    assert 3 in ts and 0 not in ts
-    assert len(ts) == 3
     assert ts.hex_mask == "2a"
 
 

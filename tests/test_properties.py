@@ -24,6 +24,8 @@ from radionet.model import (
     Radius2Net,
     Receiver,
     TransmitSet,
+    bit_mask,
+    bit_members,
     dumps,
     loads,
     radius,
@@ -123,41 +125,30 @@ def layout_neighbors(net):
     return nbrs
 
 
+def whole_net_round(nbrs, transmitting):
+    """Every listening node that hears exactly one transmitting neighbor, mapped to it."""
+    heard = {}
+    for node, adjacent in nbrs.items():
+        hits = adjacent & transmitting
+        if node not in transmitting and len(hits) == 1:
+            (heard[node],) = hits
+    return heard
+
+
 @settings(max_examples=150, deadline=None)
 @given(cores(), st.data())
 def test_round_step_bipartite_matches_recount(net, data):
     members = data.draw(st.sets(st.integers(0, net.sender_count - 1)))
-    out = round_step(net, TransmitSet.from_members(net.sender_count, members))
-    sole = {}  # each transmitter's listeners that hear it alone
+    out = round_step(net, TransmitSet(net.sender_count, bit_mask(members)))
+    sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
     for i, receiver in enumerate(net.receivers):
-        heard = [u for u in receiver.neighbors if u in members]
-        assert out.received[i] == (len(heard) == 1)
-        assert out.source_of[i] == (heard[0] if len(heard) == 1 else None)
-        if len(heard) == 1:
-            sole[heard[0]] = sole.get(heard[0], 0) | 1 << i
-    assert out.reception_count == sum(out.received)
+        hits = [u for u in receiver.neighbors if u in members]
+        if len(hits) == 1:
+            sole[hits[0]] = sole.get(hits[0], 0) | 1 << i
+            heard.append(i)
+    assert out.heard == bit_mask(heard)
+    assert out.reception_count == len(heard)
     assert out.listeners == tuple(sorted(sole.items()))
-
-
-@settings(max_examples=150, deadline=None)
-@given(cores(), st.integers(0, 4), st.data())
-def test_round_step_radius2_matches_recount(core, voids, data):
-    net = Radius2Net(core, voids)
-    # Any node may transmit: the source, senders, receivers and voids.
-    members = data.draw(st.sets(st.integers(0, net.total_nodes - 1)))
-    transmitters = TransmitSet.from_members(net.total_nodes, members)
-    out = round_step(net, transmitters)
-    sole = {}  # each transmitter's listeners that hear it alone
-    for node, nbrs in layout_neighbors(net).items():
-        heard = sorted(nbrs.intersection(members))
-        hears = node not in members and len(heard) == 1
-        assert out.received[node] == hears
-        assert out.source_of[node] == (heard[0] if hears else None)
-        if hears:
-            sole[heard[0]] = sole.get(heard[0], 0) | 1 << node
-    assert out.reception_count == sum(out.received)
-    assert out.listeners == tuple(sorted(sole.items()))
-    assert not any(bits & transmitters.bits for _, bits in out.listeners)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,7 +178,9 @@ def test_climb_stops_at_a_local_maximum(core, data):
 
 def start_counters(core, start):
     """Transmitting neighbors of every receiver under the transmit set `start`."""
-    return np.array([(m & start).bit_count() for m in core.neighbor_masks], dtype=np.int64)
+    return np.array(
+        [(bit_mask(r.neighbors) & start).bit_count() for r in core.receivers], dtype=np.int64
+    )
 
 
 def reference_climb(sender_adj, counters, mask, flips):
@@ -236,32 +229,31 @@ def test_climb_matches_reference_loops(core, data):
 @settings(max_examples=150, deadline=None)
 @given(cores(), st.integers(0, 4), st.data())
 def test_core_round_equals_radius2_round(core, voids, data):
+    # A round of sender nodes on the whole net, recounted from the layout,
+    # delivers exactly what the core round delivers.
     net = Radius2Net(core, voids)
     members = data.draw(st.sets(st.integers(0, core.sender_count - 1)))
-    on_core = round_step(core, TransmitSet.from_members(core.sender_count, members))
-    whole = round_step(
-        net, TransmitSet.from_members(net.total_nodes, [net.sender_node(u) for u in members])
-    )
-    for r in range(core.receiver_count):
-        node = net.receiver_node(r)
-        assert whole.received[node] == on_core.received[r]
-        expected = on_core.source_of[r]
-        assert whole.source_of[node] == (None if expected is None else net.sender_node(expected))
-    receivers = range(net.receiver_node(0), net.receiver_node(core.receiver_count))
-    for node in range(1, net.total_nodes):  # senders and voids hear nothing
-        if node not in receivers:
-            assert not whole.received[node]
+    on_core = round_step(core, TransmitSet(core.sender_count, bit_mask(members)))
+    whole = whole_net_round(layout_neighbors(net), {net.sender_node(u) for u in members})
+    whole.pop(net.SOURCE, None)  # it hears a lone sender, but it holds every message
+    assert whole == {
+        net.receiver_node(r): net.sender_node(u)
+        for u, bits in on_core.listeners
+        for r in bit_members(bits)
+    }
+    assert on_core.heard == bit_mask(node - net.receiver_node(0) for node in whole)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cores(), st.integers(0, 4))
 def test_source_round_reaches_every_sender_and_no_receiver(core, voids):
+    # The source phase plays no round; this is the claim that lets it skip one.
     net = Radius2Net(core, voids)
-    out = round_step(net, TransmitSet(net.total_nodes, 1 << net.SOURCE))
-    for u in range(core.sender_count):
-        assert out.source_of[net.sender_node(u)] == net.SOURCE
-    for r in range(core.receiver_count):
-        assert not out.received[net.receiver_node(r)]
+    nbrs = layout_neighbors(net)
+    assert {node: set(adjacent) for node, adjacent in enumerate(net.adjacency)} == nbrs
+    hearers = [net.sender_node(u) for u in range(core.sender_count)]
+    hearers += [net.void_node(t) for t in range(voids)]
+    assert whole_net_round(nbrs, {net.SOURCE}) == dict.fromkeys(hearers, net.SOURCE)
 
 
 def brute_force_radius(net):
@@ -378,7 +370,10 @@ def reference_broadcast(net, cfg, maxrec):
         hits = 0
         if mask:
             senders = TransmitSet(n_senders, mask)
-            source_of = round_step(core, senders).source_of
+            source_of = [None] * core.receiver_count
+            for u, bits in round_step(core, senders).listeners:
+                for r in bit_members(bits):
+                    source_of[r] = u
             if cfg.content_model == "coding":
                 rng = derive_rng(cfg.seed, rounds, 1)
                 payloads = {u: broadcast._span_sample(k, rng) for u in senders.members()}
