@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .errors import InputError
 from .model import BipartiteRadioNet, Radius2Net, TransmitSet, bit_members, round_step
 from .util import derive_rng
@@ -134,13 +132,11 @@ def _best_transmit_mask(net: BipartiteRadioNet, waiting: int) -> int:
     """Steepest-ascent transmit set maximizing receptions among waiting receivers.
 
     `waiting` is a receiver bit set. Climbs from the empty set over the
-    incidence columns of the waiting receivers, so the result is
-    deterministic. Every flip gains at least one reception, so
+    senders' reach masks cut down to the waiting receivers, so the result
+    is deterministic. Every flip gains at least one reception, so
     receiver_count flips always suffice.
     """
-    matrix = net.incidence[:, bit_members(waiting)].astype(np.float64)
-    counters = np.zeros(matrix.shape[1], dtype=np.int64)
-    mask, _, _ = climb(matrix, counters, 0, net.receiver_count)
+    mask, _, _, _ = climb([m & waiting for m in net.reach_masks], 0, net.receiver_count)
     return mask
 
 

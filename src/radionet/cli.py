@@ -21,7 +21,7 @@ from . import __version__
 # certify_chain stays a module attribute here: the benchmark's tracer
 # (perfbench/spans.py) wraps it by name.
 from .analytic import certify_chain, chain_grid, expected_receivers, expected_receivers_upper
-from .broadcast import BroadcastConfig, run_broadcast
+from .broadcast import POLICIES, BroadcastConfig, run_broadcast
 from .errors import BudgetError, InputError
 from .instance import InstanceParams, build_radius2, sample_instance
 from .model import Radius2Net, load as load_net, save as save_net
@@ -290,6 +290,11 @@ def _cmd_simulate(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: The JSON types `report` accepts in the fields it reads besides `policy`.
+_REPORT_TYPES = {"n": (int,), "seed": (int,), "k": (int,), "rounds_used": (int,),
+                 "accounting_lower_bound": (int, type(None)), "throughput": (float, type(None))}
+
+
 def _cmd_report(args) -> None:
     rows = []
     for path in args.inputs:
@@ -310,9 +315,12 @@ def _cmd_report(args) -> None:
             cells = [data["rounds_used"], data["accounting_lower_bound"], data["throughput"]]
         except KeyError as exc:
             raise InputError(f"{path} is not a simulate artifact: missing {exc}") from exc
-        for field, value, kind in zip(("n", "seed", "policy", "k"), key, (int, int, str, int)):
-            if type(value) is not kind:  # a bool is no int here; mixed types cannot be sorted
-                raise InputError(f"{path} is not a simulate artifact: {field} {value!r} is not {kind.__name__}")
+        for field, kinds in _REPORT_TYPES.items():
+            if type(data[field]) not in kinds:  # a bool is no int; a bad cell breaks the row or the sort
+                names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+                raise InputError(f"{path} is not a simulate artifact: {field} {data[field]!r} is not {names}")
+        if key[2] not in POLICIES:
+            raise InputError(f"{path} is not a simulate artifact: policy {key[2]!r} is not one of {POLICIES}")
         rendered = ",".join("" if cell is None else str(cell) for cell in cells)
         rows.append((key, f"{key[0]},{key[1]},{key[2]},{key[3]},{rendered}"))
     rows.sort()

@@ -7,23 +7,25 @@ nothing; a transmitting node never receives.
 
 Two graph shapes are supported. `BipartiteRadioNet` holds senders on one
 side and class-structured receivers on the other, with adjacency stored
-receiver-side only (the sender-side incidence matrix and reach masks are
-derived on demand and cached). `Radius2Net` wraps a bipartite core with a
-single source node attached to every sender plus optional degree-1 void
-nodes, giving a connected network of radius 2. Rounds run on the core
-only: senders transmit and receivers listen. The source alone reaches
-every sender and no receiver, so a broadcast plays the source's rounds
-without evaluating them.
+receiver-side only (the sender-side reach masks are derived on demand and
+cached). `Radius2Net` wraps a bipartite core with a single source node
+attached to every sender plus optional degree-1 void nodes, giving a
+connected network of radius 2. Rounds run on the core only: senders
+transmit and receivers listen. The source alone reaches every sender and
+no receiver, so a broadcast plays the source's rounds without evaluating
+them.
 
 The rule has two forms on Python int bit sets, and every exactly-one test
 in the package uses one of them:
 
 - receiver side (`sole_sender`, used by Monte Carlo): a node with neighbor
   mask m hears transmit set T iff x = m & T is nonzero and x & (x - 1) == 0;
-- sender side (`round_step`): fold each transmitting sender's reach mask,
-  the receivers it reaches, into the receivers at exactly one and at two or
-  more transmitting neighbors, `many |= one & m; one = (one | m) & ~many`.
-  The rest are at zero. These are the zero and one bit sets of the
+- sender side (`fold`): fold each transmitting sender's reach mask, the
+  receivers it reaches, into the receivers at one or more, two or more and
+  three or more transmitting neighbors, `three |= two & m; two |= one & m;
+  one |= m`. A receiver hears the round iff it is in `one & ~two`.
+  `round_step` reads a round from this fold, and `verifier.climb` its flip
+  gains; the receivers at zero and at exactly one are the bit sets of the
   exhaustive enumeration's half tables (`verifier._half_tables`).
 """
 
@@ -32,9 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
-
-import numpy as np
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError
 
@@ -82,18 +82,6 @@ class BipartiteRadioNet:
     @property
     def receiver_count(self) -> int:
         return len(self.receivers)
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Senders x receivers 0/1 matrix: entry (u, r) is 1 iff u is a neighbor of r.
-
-        Derived, cached and read-only, like the reach masks.
-        """
-        matrix = np.zeros((self.sender_count, self.receiver_count), dtype=np.int8)
-        for idx, receiver in enumerate(self.receivers):
-            matrix[list(receiver.neighbors), idx] = 1
-        matrix.setflags(write=False)
-        return matrix
 
     @cached_property
     def reach_masks(self) -> tuple[int, ...]:
@@ -238,14 +226,30 @@ class RoundOutcome:
         return self.heard.bit_count()
 
 
+def fold(reach: Sequence[int], members: Iterable[int]) -> tuple[int, int, int]:
+    """The receivers at one or more, two or more and three or more transmitting neighbors.
+
+    `reach[u]` holds the receivers of sender u as a bit mask and `members`
+    the transmitting senders, in any order.
+    """
+    one = two = three = 0
+    for u in members:
+        m = reach[u]
+        three |= two & m
+        two |= one & m
+        one |= m
+    return one, two, three
+
+
 def round_step(net: BipartiteRadioNet, transmitters: TransmitSet) -> RoundOutcome:
     """Evaluate one synchronous round of the exactly-one reception rule on a core.
 
     Pure function: identical inputs give identical outcomes. Receiver r
     receives iff exactly one of its senders transmits. Works from the sender
-    side: O(|T|) big-int operations on the transmitters' reach masks, not
-    one step per receiver. Any other net type, a `Radius2Net` included, is
-    an InputError; so is a transmit set whose width is not sender_count.
+    side: one `fold` of the transmitters' reach masks, O(|T|) big-int
+    operations, not one step per receiver. Any other net type, a
+    `Radius2Net` included, is an InputError; so is a transmit set whose
+    width is not sender_count.
     """
     if not isinstance(net, BipartiteRadioNet):
         raise InputError(f"unsupported network type {type(net).__name__}")
@@ -253,13 +257,10 @@ def round_step(net: BipartiteRadioNet, transmitters: TransmitSet) -> RoundOutcom
         raise InputError(f"transmit set width {transmitters.width} != sender count {net.sender_count}")
     reach = net.reach_masks
     members = transmitters.members()
-    one = many = 0
-    for u in members:
-        m = reach[u]
-        many |= one & m
-        one = (one | m) & ~many
-    listeners = tuple((u, heard) for u in members if (heard := reach[u] & one))
-    return RoundOutcome(one, listeners)
+    one, two, _ = fold(reach, members)
+    heard = one & ~two
+    listeners = tuple((u, bits) for u in members if (bits := reach[u] & heard))
+    return RoundOutcome(heard, listeners)
 
 
 def radius(net: Radius2Net) -> Union[int, float]:

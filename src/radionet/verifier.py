@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .errors import BudgetError, InputError
 # sample_instance and round_step stay module attributes here: the
 # benchmark's tracer (perfbench/spans.py) wraps them by name.
 from .instance import InstanceParams, receiver_draws, sample_instance
-from .model import BipartiteRadioNet, TransmitSet, bit_members, round_step, sole_sender
+from .model import (
+    BipartiteRadioNet, TransmitSet, bit_mask, bit_members, fold, round_step, sole_sender
+)
 from .util import derive_rng
 
 #: Exhaustive enumeration is capped at 2**26 subsets.
@@ -35,10 +37,6 @@ ENUMERATION_BUDGET_BITS = 26
 #: Candidate transmit sets evaluated per numpy pass of exhaustive enumeration,
 #: or 2**(n'//2) when that is more: a pass covers the whole low-half table.
 CHUNK_BITS = 14
-
-#: Flip gain weights indexed by a receiver's transmitting-neighbor count
-#: (clipped at 3): column 0 for a sender turning on, column 1 turning off.
-_FLIP_WEIGHTS = np.array([[1, 0], [-1, -1], [0, 1], [0, 0]], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -104,14 +102,13 @@ def max_receptions_exact(net: BipartiteRadioNet) -> MaxReceptionResult:
 
 
 def _receiver_words(net: BipartiteRadioNet) -> np.ndarray:
-    """Each sender's receivers as a bit set, packed 64 receivers to a uint64 word.
+    """Each sender's reach mask, packed 64 receivers to a uint64 word, low receivers first.
 
     Senders x ceil(R / 64); the bits past the last receiver are 0.
     """
-    words = -(-net.receiver_count // 64)
-    padded = np.zeros((net.sender_count, 64 * words), dtype=np.uint8)
-    padded[:, : net.receiver_count] = net.incidence
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    size = 8 * -(-net.receiver_count // 64)
+    packed = b"".join(m.to_bytes(size, "little") for m in net.reach_masks)
+    return np.frombuffer(packed, dtype="<u8").reshape(net.sender_count, size // 8)
 
 
 def _half_tables(receivers_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,38 +135,41 @@ def _half_tables(receivers_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zero, one
 
 
-def climb(
-    matrix: np.ndarray, counters: np.ndarray, mask: int, flips: int
-) -> tuple[int, int, int]:
+def climb(reach: Sequence[int], mask: int, flips: int) -> tuple[int, int, int, int]:
     """Steepest-ascent single-sender flips from `mask`, the one climb of the package.
 
-    `matrix` is a senders x receivers 0/1 float64 incidence matrix of the
-    receivers that count, converted once by the caller so that its products
-    run through BLAS, and `counters[r]` the transmitting neighbors of
-    receiver r under `mask`; the int64 counters are updated in place. Each
-    step applies the flip with the largest positive gain in receivers at
-    exactly one (smallest sender index on ties), until none improves or
-    `flips` are spent. All gains of a step are one product `matrix @ w`,
-    with w per receiver (c==0)-(c==1) for a sender turning on and
-    (c==2)-(c==1) for one turning off. Returns the final mask, the flips
-    left and the number of scans made.
+    `reach[u]` holds the receivers that count among those of sender u, as a
+    bit mask. Each step applies the flip with the largest positive gain in
+    receivers at exactly one transmitting neighbor (smallest sender index on
+    ties), until none improves or `flips` are spent. The gains come from
+    `model.fold`'s sets: a sender turning on gains its receivers at none and
+    loses those at exactly one; one turning off gains those at exactly two
+    and loses those at exactly one. A flip on extends the sets in place, a
+    flip off folds them again. Returns the final mask, the flips left, the
+    number of scans made and the receivers at exactly one under the mask.
     """
-    on = np.zeros(len(matrix), dtype=bool)
-    on[list(bit_members(mask))] = True
+    one, two, three = fold(reach, bit_members(mask))
     scans = 0
     while flips > 0:
-        both = matrix @ _FLIP_WEIGHTS.take(counters, axis=0, mode="clip")
-        gains = np.where(on, both[:, 1], both[:, 0])
-        best_flip = int(gains.argmax())  # first maximum: the smallest index
+        none, sole, pair = ~one, one & ~two, two & ~three
+        best_gain, best_flip = 0, -1
+        for u, m in enumerate(reach):
+            gain = (m & (pair if mask >> u & 1 else none)).bit_count() - (m & sole).bit_count()
+            if gain > best_gain:  # first maximum: the smallest index
+                best_gain, best_flip = gain, u
         scans += 1
-        if gains[best_flip] <= 0:
+        if best_flip < 0:
             break
         flips -= 1
         mask ^= 1 << best_flip
-        on[best_flip] = not on[best_flip]
-        row = matrix[best_flip].astype(np.int64)
-        counters += row if on[best_flip] else -row
-    return mask, flips, scans
+        if mask >> best_flip & 1:
+            m = reach[best_flip]
+            three |= two & m
+            two |= one & m
+            one |= m
+        else:
+            one, two, three = fold(reach, bit_members(mask))
+    return mask, flips, scans, (one & ~two).bit_count()
 
 
 def max_receptions_search(
@@ -192,22 +192,15 @@ def max_receptions_search(
     size_levels = max(1, n_prime.bit_length() - 1)
     for t in range(restarts):
         size = max(1, n_prime >> (1 + (t % size_levels)))
-        members = rng.sample(range(n_prime), size)
-        mask = 0
-        for u in members:
-            mask |= 1 << u
-        starts.append(mask)
+        starts.append(bit_mask(rng.sample(range(n_prime), size)))
 
     best = -1
     best_mask = 0
     examined = 0
     flips_left = 64 * n_prime
-    matrix = net.incidence.astype(np.float64)
     for start in starts:
-        counters = net.incidence[list(bit_members(start))].sum(axis=0, dtype=np.int64)
-        mask, flips_left, scans = climb(matrix, counters, start, flips_left)
+        mask, flips_left, scans, total = climb(net.reach_masks, start, flips_left)
         examined += 1 + scans * n_prime
-        total = int(np.count_nonzero(counters == 1))
         if total > best or (total == best and mask < best_mask):
             best = total
             best_mask = mask

@@ -262,10 +262,15 @@ def test_report_rejects_foreign_artifact(tmp_path):
 @pytest.mark.parametrize(
     "field,value",
     [("n", None), ("n", [16]), ("n", True), ("n", 16.0), ("seed", "3"), ("k", False),
-     ("policy", 7)],
+     ("policy", 7), ("policy", "a,b"), ("policy", "greedy"), ("rounds_used", "9,9"),
+     ("rounds_used", True), ("rounds_used", 9.0), ("rounds_used", None),
+     ("accounting_lower_bound", [4, 5]), ("accounting_lower_bound", False),
+     ("accounting_lower_bound", 4.5), ("throughput", True), ("throughput", 1),
+     ("throughput", "0.25")],
 )
 def test_report_rejects_key_of_wrong_type(tmp_path, capsys, field, value):
-    # Keys of mixed types cannot be sorted: the bad input is refused, not a traceback.
+    # Keys of mixed types cannot be sorted and other cells would break the row:
+    # the bad input is refused, not a traceback or a row of the wrong width.
     artifact = {"schema_version": 1, "n": 16, "seed": 3, "policy": "round_robin", "k": 2,
                 "rounds_used": 9, "accounting_lower_bound": 4, "throughput": 0.25}
     good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "m.csv"
@@ -276,6 +281,16 @@ def test_report_rejects_key_of_wrong_type(tmp_path, capsys, field, value):
     assert err["kind"] == "input"
     assert str(bad) in err["error"] and field in err["error"]
     assert not out.exists()
+
+
+def test_report_renders_null_cells_empty(tmp_path):
+    # An unbounded round bound and a zero-round run are written as null: empty cells.
+    artifact = {"schema_version": 1, "n": 16, "seed": 3, "policy": "random_p", "k": 0,
+                "rounds_used": 0, "accounting_lower_bound": None, "throughput": None}
+    art, out = tmp_path / "a.json", tmp_path / "m.csv"
+    art.write_text(json.dumps(artifact))
+    run_ok(["report", str(art), "--out", str(out)])
+    assert out.read_text().splitlines()[2:] == ["16,3,random_p,0,0,,"]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import radionet
 from radionet.errors import InputError
 from radionet.instance import InstanceParams, build_radius2, sample_instance
 from radionet.model import (
@@ -174,8 +179,15 @@ def test_loads_rejects_malformed_input():
         loads("radionet v1 2 1\n0 0\nradius2 99 1\n")  # inconsistent footer
 
 
-def test_incidence_derived_matrix():
-    net = toy_net()
-    assert net.incidence.tolist() == [[1, 1], [0, 1]]
-    with pytest.raises(ValueError):
-        net.incidence[0, 0] = 0  # cached and shared: read-only
+def test_core_modules_do_not_load_numpy():
+    # numpy is the exhaustive enumeration's private encoding: the model, the
+    # generator and the analytic chain run on Python ints and fractions.
+    code = "import sys, radionet.model, radionet.instance, radionet.analytic; print('numpy' in sys.modules)"
+    src = str(Path(radionet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

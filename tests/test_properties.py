@@ -1,10 +1,11 @@
 """Property tests of the bit-mask reception kernels against brute-force oracles."""
 
 import math
+import random
 from itertools import combinations
 from unittest import mock
 
-import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from radionet.model import (
     bit_mask,
     bit_members,
     dumps,
+    fold,
     loads,
     radius,
     round_step,
@@ -106,6 +108,23 @@ def test_exact_matches_brute_force_in_2_bit_chunks(net):
     assert (result.best_count, result.witness.bits) == brute_force_maximum(net)
 
 
+@pytest.mark.parametrize("chunk_bits", [verifier.CHUNK_BITS, 2], ids=["default-chunks", "2-bit-chunks"])
+@pytest.mark.parametrize("receivers", [65, 130])
+@settings(max_examples=25, deadline=None)
+@given(senders=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_exact_matches_brute_force_past_one_word(chunk_bits, receivers, senders, seed):
+    # Two and three uint64 words per sender: the packing and the zero bits past
+    # the last receiver, under random neighbour sets of every degree.
+    rng = random.Random(seed)
+    neighbor_sets = [
+        sorted(rng.sample(range(senders), rng.randint(0, senders))) for _ in range(receivers)
+    ]
+    net = net_of(senders, *neighbor_sets)
+    with mock.patch.object(verifier, "CHUNK_BITS", chunk_bits):
+        result = max_receptions_exact(net)
+    assert (result.best_count, result.witness.bits) == brute_force_maximum(net)
+
+
 def layout_neighbors(net):
     """Neighbors of every node of a radius-2 net, rebuilt from its definition."""
     core = net.core
@@ -151,6 +170,15 @@ def test_round_step_bipartite_matches_recount(net, data):
     assert out.listeners == tuple(sorted(sole.items()))
 
 
+@settings(max_examples=150, deadline=None)
+@given(cores(), st.data())
+def test_fold_matches_recount(core, data):
+    members = data.draw(st.lists(st.integers(0, core.sender_count - 1), unique=True))
+    counts = [len(set(r.neighbors).intersection(members)) for r in core.receivers]
+    expected = tuple(bit_mask(i for i, c in enumerate(counts) if c >= t) for t in (1, 2, 3))
+    assert fold(core.reach_masks, members) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(cores(max_senders=16, min_receivers=1, max_receivers=16), st.data())
 def test_greedy_mask_equals_unfiltered_climb_on_active_receivers(core, data):
@@ -158,19 +186,17 @@ def test_greedy_mask_equals_unfiltered_climb_on_active_receivers(core, data):
     active = BipartiteRadioNet(
         core.sender_count, tuple(core.receivers[r] for r in sorted(waiting))
     )
-    counters = np.zeros(active.receiver_count, dtype=np.int64)
-    mask, _, _ = climb(active.incidence.astype(np.float64), counters, 0, flips=1 << 30)
-    assert _best_transmit_mask(core, sum(1 << r for r in waiting)) == mask
+    mask, _, _, _ = climb(active.reach_masks, 0, flips=1 << 30)
+    assert _best_transmit_mask(core, bit_mask(waiting)) == mask
 
 
 @settings(max_examples=100, deadline=None)
 @given(cores(), st.data())
 def test_climb_stops_at_a_local_maximum(core, data):
     start = data.draw(st.integers(0, (1 << core.sender_count) - 1))
-    counters = start_counters(core, start)
-    mask, _, _ = climb(core.incidence.astype(np.float64), counters, start, flips=1 << 30)
+    mask, _, _, count = climb(core.reach_masks, start, flips=1 << 30)
     here = round_step(core, TransmitSet(core.sender_count, mask))
-    assert counters.tolist().count(1) == here.reception_count
+    assert count == here.reception_count
     for u in range(core.sender_count):
         flipped = TransmitSet(core.sender_count, mask ^ (1 << u))
         assert round_step(core, flipped).reception_count <= here.reception_count
@@ -178,9 +204,7 @@ def test_climb_stops_at_a_local_maximum(core, data):
 
 def start_counters(core, start):
     """Transmitting neighbors of every receiver under the transmit set `start`."""
-    return np.array(
-        [(bit_mask(r.neighbors) & start).bit_count() for r in core.receivers], dtype=np.int64
-    )
+    return [(bit_mask(r.neighbors) & start).bit_count() for r in core.receivers]
 
 
 def reference_climb(sender_adj, counters, mask, flips):
@@ -219,11 +243,9 @@ def test_climb_matches_reference_loops(core, data):
         [r for r, receiver in enumerate(core.receivers) if u in receiver.neighbors]
         for u in range(core.sender_count)
     ]
-    expected_counters = start_counters(core, start).tolist()
-    expected = reference_climb(sender_adj, expected_counters, start, flips)
     counters = start_counters(core, start)
-    assert climb(core.incidence.astype(np.float64), counters, start, flips) == expected
-    assert counters.tolist() == expected_counters
+    expected = reference_climb(sender_adj, counters, start, flips)
+    assert climb(core.reach_masks, start, flips) == (*expected, counters.count(1))
 
 
 @settings(max_examples=150, deadline=None)
