@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, TransmitSet, bit_members, round_step
+from .model import BipartiteRadioNet, Radius2Net, bit_members, round_step
 from .util import derive_rng
 from .verifier import (
     ENUMERATION_BUDGET_BITS,
@@ -216,23 +216,22 @@ def run_broadcast(
         rounds += 1
         hits = 0
         if mask:  # an empty random_p round still costs time
-            senders = TransmitSet(n_senders, mask)
-            outcome = round_step(core, senders)
-            hits = outcome.reception_count
-            _add_to_planes(reception_planes, outcome.heard)
+            heard, listeners = round_step(core, mask)
+            hits = heard.bit_count()
+            _add_to_planes(reception_planes, heard)
             if coding:
                 rng = derive_rng(cfg.seed, rounds, 1)
-                payloads = {u: _span_sample(k, rng) for u in senders.members()}
+                payloads = {u: _span_sample(k, rng) for u in bit_members(mask)}
             elif cfg.policy == "greedy_schedule":
-                payloads = _greedy_message_choice(outcome.listeners, waiting, holds)
+                payloads = _greedy_message_choice(listeners, waiting, holds)
             else:
                 payloads = {}
-                for u in senders.members():
+                for u in bit_members(mask):
                     payloads[u] = 1 << (message_cursor[u] % k)
                     message_cursor[u] += 1
-            for u, heard in outcome.listeners:
+            for u, bits in listeners:
                 payload = payloads[u]
-                listening = heard & waiting
+                listening = bits & waiting
                 if payload.bit_count() == 1:  # e_m: skip the receivers holding it
                     m = payload.bit_length() - 1
                     listening &= ~holds[m]

@@ -185,6 +185,11 @@ def _cmd_verify(args) -> None:
         raise InputError(f"restarts must be positive, got {args.restarts}")
     net = load_net(args.net)
     core = net.core if isinstance(net, Radius2Net) else net
+    if threshold is not None:
+        try:  # the artifact holds c*n' as a float
+            float(threshold * core.sender_count)
+        except OverflowError as exc:
+            raise InputError(f"threshold {args.threshold!r} times {core.sender_count} senders overflows a float") from exc
     if args.search:
         result = max_receptions_search(core, restarts=args.restarts, seed=args.seed)
     else:
@@ -203,7 +208,7 @@ def _cmd_verify(args) -> None:
         "receiver_count": core.receiver_count,
         "sender_count": core.sender_count,
         "subsets_examined": result.subsets_examined,
-        "witness_hex": result.witness.hex_mask,
+        "witness_hex": format(result.witness, "x"),
     }
     if threshold is not None:
         report = check_lemma_threshold(core, threshold, result=result)

@@ -107,7 +107,7 @@ def receiver_draws(params: InstanceParams) -> Iterator[tuple[int, int]]:
 def sample_instance(params: InstanceParams) -> BipartiteRadioNet:
     """Draw one random instance; deterministic given the seed (see receiver_draws)."""
     receivers = tuple(Receiver(class_index, bit_members(mask)) for class_index, mask in receiver_draws(params))
-    return BipartiteRadioNet(params.n_prime, receivers, class_count=params.class_count)
+    return BipartiteRadioNet(params.n_prime, receivers)
 
 
 def build_radius2(core: BipartiteRadioNet, n: int) -> Radius2Net:

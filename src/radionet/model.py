@@ -69,15 +69,11 @@ class BipartiteRadioNet:
 
     sender_count: int
     receivers: tuple[Receiver, ...]
-    class_count: int = -1  # -1: derive from the receivers
 
     def __post_init__(self):
         if self.sender_count < 1:
             raise InputError("sender_count must be a positive integer")
         object.__setattr__(self, "receivers", tuple(self.receivers))
-        if self.class_count < 0:
-            derived = max((r.class_index for r in self.receivers), default=0)
-            object.__setattr__(self, "class_count", derived)
 
     @property
     def receiver_count(self) -> int:
@@ -182,50 +178,6 @@ class Radius2Net:
 RadioNet = Union[BipartiteRadioNet, Radius2Net]
 
 
-@dataclass(frozen=True)
-class TransmitSet:
-    """A set of transmitting senders as a fixed-width bit-vector.
-
-    The width is the core's sender_count, and bit u is set iff sender u
-    transmits.
-    """
-
-    width: int
-    bits: int
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise InputError("width must be nonnegative")
-        if not 0 <= self.bits < (1 << self.width):
-            raise InputError(
-                f"transmit mask {self.bits:#x} out of range for width {self.width}"
-            )
-
-    def members(self) -> tuple[int, ...]:
-        return bit_members(self.bits)
-
-    @property
-    def hex_mask(self) -> str:
-        return format(self.bits, "x")
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Result of one round on a core, as receiver bit sets.
-
-    `heard` holds the receivers that received, and `listeners` one
-    `(u, bits)` pair per sender u that delivered anything, in ascending u,
-    with `bits` the receivers whose single transmitting neighbor is u.
-    """
-
-    heard: int
-    listeners: tuple[tuple[int, int], ...]
-
-    @property
-    def reception_count(self) -> int:
-        return self.heard.bit_count()
-
-
 def fold(reach: Sequence[int], members: Iterable[int]) -> tuple[int, int, int]:
     """The receivers at one or more, two or more and three or more transmitting neighbors.
 
@@ -241,26 +193,29 @@ def fold(reach: Sequence[int], members: Iterable[int]) -> tuple[int, int, int]:
     return one, two, three
 
 
-def round_step(net: BipartiteRadioNet, transmitters: TransmitSet) -> RoundOutcome:
+def round_step(net: BipartiteRadioNet, mask: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Evaluate one synchronous round of the exactly-one reception rule on a core.
 
-    Pure function: identical inputs give identical outcomes. Receiver r
-    receives iff exactly one of its senders transmits. Works from the sender
-    side: one `fold` of the transmitters' reach masks, O(|T|) big-int
-    operations, not one step per receiver. Any other net type, a
-    `Radius2Net` included, is an InputError; so is a transmit set whose
-    width is not sender_count.
+    Pure function: identical inputs give identical outcomes. Bit u of `mask`
+    is set iff sender u transmits, and receiver r receives iff exactly one
+    of its senders transmits. Returns the receiver bit sets (heard,
+    listeners): `heard` holds the receivers that received, and `listeners`
+    one `(u, bits)` pair per sender u that delivered anything, in ascending
+    u, with `bits` the receivers whose single transmitting neighbor is u.
+    Works from the sender side: one `fold` of the transmitters' reach masks,
+    O(|T|) big-int operations, not one step per receiver. Any other net
+    type, a `Radius2Net` included, is an InputError; so is a mask that is
+    negative or has a bit at or past sender_count.
     """
     if not isinstance(net, BipartiteRadioNet):
         raise InputError(f"unsupported network type {type(net).__name__}")
-    if transmitters.width != net.sender_count:
-        raise InputError(f"transmit set width {transmitters.width} != sender count {net.sender_count}")
+    if not 0 <= mask < 1 << net.sender_count:
+        raise InputError(f"transmit mask {mask:#x} out of range for {net.sender_count} senders")
     reach = net.reach_masks
-    members = transmitters.members()
+    members = bit_members(mask)
     one, two, _ = fold(reach, members)
     heard = one & ~two
-    listeners = tuple((u, bits) for u in members if (bits := reach[u] & heard))
-    return RoundOutcome(heard, listeners)
+    return heard, tuple((u, bits) for u in members if (bits := reach[u] & heard))
 
 
 def radius(net: Radius2Net) -> Union[int, float]:
@@ -311,12 +266,10 @@ def _structure_problems(net: BipartiteRadioNet) -> list[str]:
     A degree other than 2^class is not among them: hand-built nets may have it.
     """
     problems: list[str] = []
-    max_class = 0
     for i, receiver in enumerate(net.receivers):
         nbrs = receiver.neighbors
         if receiver.class_index < 0:
             problems.append(f"receiver {i}: negative class index {receiver.class_index}")
-        max_class = max(max_class, receiver.class_index)
         if len(set(nbrs)) != len(nbrs):
             problems.append(f"receiver {i}: duplicate neighbor in {list(nbrs)}")
         elif any(b <= a for a, b in zip(nbrs, nbrs[1:])):
@@ -324,10 +277,6 @@ def _structure_problems(net: BipartiteRadioNet) -> list[str]:
         for u in nbrs:
             if not 0 <= u < net.sender_count:
                 problems.append(f"receiver {i}: neighbor {u} out of range [0, {net.sender_count})")
-    if net.class_count < max_class:
-        problems.append(
-            f"class_count {net.class_count} below largest receiver class {max_class}"
-        )
     return problems
 
 

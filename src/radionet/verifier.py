@@ -27,7 +27,7 @@ from .errors import BudgetError, InputError
 # benchmark's tracer (perfbench/spans.py) wraps them by name.
 from .instance import InstanceParams, receiver_draws, sample_instance
 from .model import (
-    BipartiteRadioNet, TransmitSet, bit_mask, bit_members, fold, round_step, sole_sender
+    BipartiteRadioNet, bit_mask, bit_members, fold, round_step, sole_sender
 )
 from .util import derive_rng
 
@@ -44,7 +44,7 @@ class MaxReceptionResult:
     """Best single-round reception count found, with its witness transmit set."""
 
     best_count: int
-    witness: TransmitSet
+    witness: int  # bit u set iff sender u transmits
     method: str  # "exact" | "search"
     subsets_examined: int
 
@@ -95,7 +95,7 @@ def max_receptions_exact(net: BipartiteRadioNet) -> MaxReceptionResult:
             best, best_mask = int(counts.flat[top]), (h0 << low_bits) + top
     return MaxReceptionResult(
         best_count=best,
-        witness=TransmitSet(n_prime, best_mask),
+        witness=best_mask,
         method="exact",
         subsets_examined=1 << n_prime,
     )
@@ -206,7 +206,7 @@ def max_receptions_search(
             best_mask = mask
     return MaxReceptionResult(
         best_count=best,
-        witness=TransmitSet(n_prime, best_mask),
+        witness=best_mask,
         method="search",
         subsets_examined=examined,
     )
@@ -216,11 +216,7 @@ def max_receptions_search(
 class ThresholdReport:
     """Comparison of the achieved per-round maximum against a c*n' threshold."""
 
-    best_count: int
-    method: str
-    witness: TransmitSet
     threshold: Fraction
-    receiver_count: int
     fraction: Optional[float]  # best_count / receiver_count
     fraction_bound: Optional[Fraction]  # threshold / receiver_count = c / class_count
     passed: bool
@@ -245,11 +241,7 @@ def check_lemma_threshold(
     fraction = result.best_count / receiver_count if receiver_count else None
     fraction_bound = threshold / receiver_count if receiver_count else None
     return ThresholdReport(
-        best_count=result.best_count,
-        method=result.method,
-        witness=result.witness,
         threshold=threshold,
-        receiver_count=receiver_count,
         fraction=fraction,
         fraction_bound=fraction_bound,
         passed=result.best_count <= threshold,

@@ -14,7 +14,7 @@ from radionet.broadcast import (
 )
 from radionet.errors import InputError
 from radionet.instance import InstanceParams, build_radius2, sample_instance
-from radionet.model import BipartiteRadioNet, Receiver, TransmitSet, round_step
+from radionet.model import BipartiteRadioNet, Receiver, round_step
 from radionet.verifier import max_receptions_exact
 
 
@@ -243,8 +243,8 @@ def test_coding_never_loses_to_round_robin_routing_on_toys():
 def test_greedy_schedule_toy_first_set():
     mask = _best_transmit_mask(skewed_core(), 0b11)
     assert mask == 0b01  # sender a reaches both receivers
-    outcome = round_step(skewed_core(), TransmitSet(2, mask))
-    assert outcome.reception_count == 2
+    heard, _ = round_step(skewed_core(), mask)
+    assert heard.bit_count() == 2
 
 
 def test_greedy_schedule_empty_when_satisfied():

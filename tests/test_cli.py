@@ -92,13 +92,17 @@ def test_verify_rejects_bad_search_flags_before_loading(tmp_path, capsys, mode, 
     assert flag[0].lstrip("-") in err["error"]
 
 
-@pytest.mark.parametrize("threshold", ["abc", "inf", "1/0", "0", "-2"])
+@pytest.mark.parametrize("threshold", ["abc", "inf", "1/0", "0", "-2", "1e308"])
 def test_verify_rejects_bad_threshold_before_maximizing(tmp_path, capsys, threshold):
-    # 27 senders would exit 4 at the enumeration budget: the threshold is parsed first.
+    # 27 senders would exit 4 at the enumeration budget: the threshold is checked
+    # first. At 1e308, c*n' = 2.7e309 is past the largest float.
     wide = tmp_path / "wide.net"
     wide.write_text("radionet v1 27 0\n")
-    assert dispatch(["verify", "--net", str(wide), "--exact", "--threshold", threshold]) == 3
+    out = tmp_path / "v.json"
+    argv = ["verify", "--net", str(wide), "--exact", "--threshold", threshold, "--out", str(out)]
+    assert dispatch(argv) == 3
     assert json.loads(capsys.readouterr().err)["kind"] == "input"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -343,6 +347,16 @@ def test_search_counts_past_255_neighbors_of_one_receiver(tmp_path):
     data = json.loads(out.read_text())
     assert data["best_count"] == 1
     assert data["witness_hex"] == "1"
+
+
+def test_verify_witness_hex_is_lowercase_without_prefix(tmp_path):
+    # Senders 1, 3 and 5 each reach one receiver alone: the smallest best mask is 0b101010.
+    net = tmp_path / "odd.net"
+    net.write_text("radionet v1 6 3\n0 1\n0 3\n0 5\n")
+    out = tmp_path / "v.json"
+    run_ok(["verify", "--net", str(net), "--exact", "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert (data["best_count"], data["witness_hex"]) == (3, "2a")
 
 
 #: sha256 of the n=256 simulate artifacts and series, recorded before the

@@ -14,9 +14,9 @@ from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
     Receiver,
-    TransmitSet,
     _structure_problems,
     bit_mask,
+    bit_members,
     dumps,
     loads,
     radius,
@@ -30,30 +30,30 @@ def toy_net():
 
 
 def test_round_step_nobody_transmits():
-    out = round_step(toy_net(), TransmitSet(2, 0))
-    assert out.reception_count == 0
-    assert (out.heard, out.listeners) == (0, ())
+    heard, listeners = round_step(toy_net(), 0)
+    assert heard.bit_count() == 0
+    assert (heard, listeners) == (0, ())
 
 
 def test_round_step_single_transmitter_reaches_both():
-    out = round_step(toy_net(), TransmitSet(2, 0b01))
-    assert out.heard == 0b11
-    assert out.reception_count == 2
-    assert out.listeners == ((0, 0b11),)
+    heard, listeners = round_step(toy_net(), 0b01)
+    assert heard == 0b11
+    assert heard.bit_count() == 2
+    assert listeners == ((0, 0b11),)
 
 
 def test_round_step_collision_drops_shared_receiver():
-    out = round_step(toy_net(), TransmitSet(2, 0b11))
-    assert out.heard == 0b01
-    assert out.reception_count == 1
-    assert out.listeners == ((0, 0b01),)  # sender b delivers nothing, so it has no pair
+    heard, listeners = round_step(toy_net(), 0b11)
+    assert heard == 0b01
+    assert heard.bit_count() == 1
+    assert listeners == ((0, 0b01),)  # sender b delivers nothing, so it has no pair
 
 
 def test_monotonicity_failure_witness():
     # A bigger transmit set can deliver less: collisions are not monotone.
-    small = round_step(toy_net(), TransmitSet(2, 0b01))
-    big = round_step(toy_net(), TransmitSet(2, 0b11))
-    assert small.reception_count > big.reception_count
+    small, _ = round_step(toy_net(), 0b01)
+    big, _ = round_step(toy_net(), 0b11)
+    assert small.bit_count() > big.bit_count()
 
 
 def test_round_step_matches_independent_recount():
@@ -66,41 +66,35 @@ def test_round_step_matches_independent_recount():
         )
         net = BipartiteRadioNet(senders, receivers)
         members = [u for u in range(senders) if rng.random() < 0.5]
-        out = round_step(net, TransmitSet(senders, bit_mask(members)))
+        out_heard, out_listeners = round_step(net, bit_mask(members))
         sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
         for i, receiver in enumerate(receivers):
             hits = [u for u in receiver.neighbors if u in members]
             if len(hits) == 1:
                 sole[hits[0]] = sole.get(hits[0], 0) | 1 << i
                 heard.append(i)
-        assert out.listeners == tuple(sorted(sole.items()))
-        assert out.heard == bit_mask(heard)
-        assert out.reception_count == len(heard)
+        assert out_listeners == tuple(sorted(sole.items()))
+        assert out_heard == bit_mask(heard)
+        assert out_heard.bit_count() == len(heard)
 
 
 def test_round_step_is_pure():
     net = toy_net()
-    ts = TransmitSet(2, 0b11)
-    assert round_step(net, ts) == round_step(net, ts)
+    assert round_step(net, 0b11) == round_step(net, 0b11)
 
 
 def test_transmit_set_rejects_out_of_range():
-    with pytest.raises(InputError):
-        TransmitSet(2, 1 << 5)
-    with pytest.raises(InputError):
-        round_step(toy_net(), TransmitSet(3, 0b100))  # wider than sender_count
-    with pytest.raises(InputError):
-        round_step(toy_net(), TransmitSet(1, 0b1))  # narrower
+    for mask in (-1, 0b100, 1 << 5):  # negative, or a bit at or past sender_count
+        with pytest.raises(InputError, match="out of range"):
+            round_step(toy_net(), mask)
     wrapped = build_radius2(toy_net(), 6)
-    for width in (2, wrapped.total_nodes):  # rounds run on the core only
+    for mask in (0b10, 1 << wrapped.total_nodes - 1):  # rounds run on the core only
         with pytest.raises(InputError, match="unsupported network type Radius2Net"):
-            round_step(wrapped, TransmitSet(width, 0b10))
+            round_step(wrapped, mask)
 
 
-def test_transmit_set_members_roundtrip():
-    ts = TransmitSet(6, bit_mask([5, 1, 3]))
-    assert ts.members() == (1, 3, 5)
-    assert ts.hex_mask == "2a"
+def test_bit_members_inverts_bit_mask():
+    assert bit_members(bit_mask([5, 1, 3])) == (1, 3, 5)
 
 
 def test_radius_of_generated_wrapper_is_two():

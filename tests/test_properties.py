@@ -24,7 +24,6 @@ from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
     Receiver,
-    TransmitSet,
     bit_mask,
     bit_members,
     dumps,
@@ -91,10 +90,11 @@ def split_edge_examples(test):
 @given(cores())
 def test_exact_matches_brute_force_count_and_smallest_witness(net):
     result = max_receptions_exact(net)
-    assert (result.best_count, result.witness.bits) == brute_force_maximum(net)
+    assert (result.best_count, result.witness) == brute_force_maximum(net)
     found = max_receptions_search(net, restarts=2, seed=1)
     assert found.best_count <= result.best_count
-    assert round_step(net, found.witness).reception_count == found.best_count
+    heard, _ = round_step(net, found.witness)
+    assert heard.bit_count() == found.best_count
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,7 +105,7 @@ def test_exact_matches_brute_force_in_2_bit_chunks(net):
     # over them and the smallest witness kept across them.
     with mock.patch.object(verifier, "CHUNK_BITS", 2):
         result = max_receptions_exact(net)
-    assert (result.best_count, result.witness.bits) == brute_force_maximum(net)
+    assert (result.best_count, result.witness) == brute_force_maximum(net)
 
 
 @pytest.mark.parametrize("chunk_bits", [verifier.CHUNK_BITS, 2], ids=["default-chunks", "2-bit-chunks"])
@@ -122,7 +122,7 @@ def test_exact_matches_brute_force_past_one_word(chunk_bits, receivers, senders,
     net = net_of(senders, *neighbor_sets)
     with mock.patch.object(verifier, "CHUNK_BITS", chunk_bits):
         result = max_receptions_exact(net)
-    assert (result.best_count, result.witness.bits) == brute_force_maximum(net)
+    assert (result.best_count, result.witness) == brute_force_maximum(net)
 
 
 def layout_neighbors(net):
@@ -158,16 +158,16 @@ def whole_net_round(nbrs, transmitting):
 @given(cores(), st.data())
 def test_round_step_bipartite_matches_recount(net, data):
     members = data.draw(st.sets(st.integers(0, net.sender_count - 1)))
-    out = round_step(net, TransmitSet(net.sender_count, bit_mask(members)))
+    out_heard, out_listeners = round_step(net, bit_mask(members))
     sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
     for i, receiver in enumerate(net.receivers):
         hits = [u for u in receiver.neighbors if u in members]
         if len(hits) == 1:
             sole[hits[0]] = sole.get(hits[0], 0) | 1 << i
             heard.append(i)
-    assert out.heard == bit_mask(heard)
-    assert out.reception_count == len(heard)
-    assert out.listeners == tuple(sorted(sole.items()))
+    assert out_heard == bit_mask(heard)
+    assert out_heard.bit_count() == len(heard)
+    assert out_listeners == tuple(sorted(sole.items()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,11 +195,11 @@ def test_greedy_mask_equals_unfiltered_climb_on_active_receivers(core, data):
 def test_climb_stops_at_a_local_maximum(core, data):
     start = data.draw(st.integers(0, (1 << core.sender_count) - 1))
     mask, _, _, count = climb(core.reach_masks, start, flips=1 << 30)
-    here = round_step(core, TransmitSet(core.sender_count, mask))
-    assert count == here.reception_count
+    here, _ = round_step(core, mask)
+    assert count == here.bit_count()
     for u in range(core.sender_count):
-        flipped = TransmitSet(core.sender_count, mask ^ (1 << u))
-        assert round_step(core, flipped).reception_count <= here.reception_count
+        flipped, _ = round_step(core, mask ^ (1 << u))
+        assert flipped.bit_count() <= here.bit_count()
 
 
 def start_counters(core, start):
@@ -255,15 +255,15 @@ def test_core_round_equals_radius2_round(core, voids, data):
     # delivers exactly what the core round delivers.
     net = Radius2Net(core, voids)
     members = data.draw(st.sets(st.integers(0, core.sender_count - 1)))
-    on_core = round_step(core, TransmitSet(core.sender_count, bit_mask(members)))
+    on_core_heard, on_core_listeners = round_step(core, bit_mask(members))
     whole = whole_net_round(layout_neighbors(net), {net.sender_node(u) for u in members})
     whole.pop(net.SOURCE, None)  # it hears a lone sender, but it holds every message
     assert whole == {
         net.receiver_node(r): net.sender_node(u)
-        for u, bits in on_core.listeners
+        for u, bits in on_core_listeners
         for r in bit_members(bits)
     }
-    assert on_core.heard == bit_mask(node - net.receiver_node(0) for node in whole)
+    assert on_core_heard == bit_mask(node - net.receiver_node(0) for node in whole)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,14 +391,13 @@ def reference_broadcast(net, cfg, maxrec):
         rounds += 1
         hits = 0
         if mask:
-            senders = TransmitSet(n_senders, mask)
             source_of = [None] * core.receiver_count
-            for u, bits in round_step(core, senders).listeners:
+            for u, bits in round_step(core, mask)[1]:
                 for r in bit_members(bits):
                     source_of[r] = u
             if cfg.content_model == "coding":
                 rng = derive_rng(cfg.seed, rounds, 1)
-                payloads = {u: broadcast._span_sample(k, rng) for u in senders.members()}
+                payloads = {u: broadcast._span_sample(k, rng) for u in bit_members(mask)}
             elif cfg.policy == "greedy_schedule":
                 payloads = {}
                 for u in set(source_of) - {None}:
@@ -409,7 +408,7 @@ def reference_broadcast(net, cfg, maxrec):
                     payloads[u] = 1 << missing.index(max(missing))
             else:
                 payloads = {}
-                for u in senders.members():
+                for u in bit_members(mask):
                     payloads[u] = 1 << (cursor[u] % k)
                     cursor[u] += 1
             for r, u in enumerate(source_of):

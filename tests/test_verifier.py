@@ -7,7 +7,7 @@ import pytest
 
 from radionet.errors import BudgetError, InputError
 from radionet.instance import InstanceParams, sample_instance
-from radionet.model import BipartiteRadioNet, Receiver, TransmitSet, round_step
+from radionet.model import BipartiteRadioNet, Receiver, round_step
 from radionet.util import derive_rng
 from radionet.verifier import (
     ENUMERATION_BUDGET_BITS,
@@ -25,7 +25,7 @@ def toy_net():
 def test_exact_on_toy():
     result = max_receptions_exact(toy_net())
     assert result.best_count == 2
-    assert result.witness.bits == 0b01  # sender a alone
+    assert result.witness == 0b01  # sender a alone
     assert result.subsets_examined == 4
     assert result.method == "exact"
 
@@ -33,14 +33,14 @@ def test_exact_on_toy():
 def test_exact_empty_receivers():
     result = max_receptions_exact(BipartiteRadioNet(3, ()))
     assert result.best_count == 0
-    assert result.witness.bits == 0
+    assert result.witness == 0
 
 
 def test_exact_on_minimal_instance():
     net = sample_instance(InstanceParams(4, seed=0))
     result = max_receptions_exact(net)
     assert result.best_count == 2
-    assert result.witness.bits == 0b01  # first sender, smallest mask tie-break
+    assert result.witness == 0b01  # first sender, smallest mask tie-break
 
 
 def test_exact_at_the_budget_edge():
@@ -51,7 +51,7 @@ def test_exact_at_the_budget_edge():
     net = BipartiteRadioNet(ENUMERATION_BUDGET_BITS, tuple(Receiver(0, s) for s in neighbor_sets))
     result = max_receptions_exact(net)
     assert result.best_count == len(neighbor_sets)
-    assert result.witness.bits == sum(1 << min(s) for s in neighbor_sets) == 0xB02B
+    assert result.witness == sum(1 << min(s) for s in neighbor_sets) == 0xB02B
     assert result.subsets_examined == 1 << 26
 
 
@@ -65,8 +65,8 @@ def test_exact_witness_reproduces_best_count():
     for seed in (1, 2, 3):
         net = sample_instance(InstanceParams(64, seed=seed))
         result = max_receptions_exact(net)
-        outcome = round_step(net, result.witness)
-        assert outcome.reception_count == result.best_count
+        heard, _ = round_step(net, result.witness)
+        assert heard.bit_count() == result.best_count
 
 
 def test_search_is_dominated_by_exact():
@@ -76,8 +76,8 @@ def test_search_is_dominated_by_exact():
         found = max_receptions_search(net, restarts=8, seed=seed)
         assert found.best_count <= exact.best_count
         assert found.method == "search"
-        outcome = round_step(net, found.witness)
-        assert outcome.reception_count == found.best_count
+        heard, _ = round_step(net, found.witness)
+        assert heard.bit_count() == found.best_count
 
 
 def test_search_finds_toy_optimum():
@@ -88,7 +88,7 @@ def test_search_finds_toy_optimum():
 def test_search_covers_singleton_starts():
     net = sample_instance(InstanceParams(256, seed=4))
     best_single = max(
-        round_step(net, TransmitSet(16, 1 << u)).reception_count for u in range(16)
+        round_step(net, 1 << u)[0].bit_count() for u in range(16)
     )
     result = max_receptions_search(net, restarts=1, seed=0)
     assert result.best_count >= best_single
@@ -98,12 +98,22 @@ def test_search_deterministic_given_seed():
     net = sample_instance(InstanceParams(256, seed=8))
     a = max_receptions_search(net, restarts=16, seed=5)
     b = max_receptions_search(net, restarts=16, seed=5)
-    assert (a.best_count, a.witness.bits) == (b.best_count, b.witness.bits)
+    assert (a.best_count, a.witness) == (b.best_count, b.witness)
 
 
-#: sha256 of the reprs of the searches below, recorded before the climb took
-#: its matrix already converted; any change here is a behaviour change.
+#: sha256 of the reprs of the searches below (in `legacy_repr` form), recorded
+#: before the climb took its matrix already converted; any change here is a
+#: behaviour change.
 PINNED_SEARCH_DIGEST = "876ccc0a775738679d19ed009a7c67c3684a76939b02bc6760ec1dabe8f45e26"
+
+
+def legacy_repr(net, result):
+    """`repr(result)` as it read while the witness was a TransmitSet of sender_count bits."""
+    return (
+        f"MaxReceptionResult(best_count={result.best_count}, witness=TransmitSet("
+        f"width={net.sender_count}, bits={result.witness}), method={result.method!r}, "
+        f"subsets_examined={result.subsets_examined})"
+    )
 
 
 def test_search_matches_pinned_digest():
@@ -115,7 +125,8 @@ def test_search_matches_pinned_digest():
         for seed in (0, 1, 2):
             net = sample_instance(InstanceParams(n, seed=seed))
             for restarts in (32, 1024):
-                reports.append(repr(max_receptions_search(net, restarts=restarts, seed=seed)))
+                result = max_receptions_search(net, restarts=restarts, seed=seed)
+                reports.append(legacy_repr(net, result))
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == PINNED_SEARCH_DIGEST
 
@@ -130,8 +141,9 @@ def test_threshold_vacuous_at_desk_scale():
 
 
 def test_threshold_equality_passes():
-    report = check_lemma_threshold(toy_net(), 1, max_receptions_exact(toy_net()))
-    assert report.best_count == 2
+    result = max_receptions_exact(toy_net())
+    report = check_lemma_threshold(toy_net(), 1, result)
+    assert result.best_count == 2
     assert report.threshold == 2
     assert report.passed  # equality counts as passing
     assert report.vacuous  # threshold 2 >= 2 receivers
@@ -178,15 +190,15 @@ def test_transmit_set_choice_is_exchangeable():
     # the same reception distribution; compare two different fixed pairs.
     rng = random.Random(77)
     params = InstanceParams(16)
-    first = TransmitSet(4, 0b0011)
-    last = TransmitSet(4, 0b1100)
+    first = 0b0011
+    last = 0b1100
     trials = 4000
 
     def run(transmitters, offset):
         total = total_sq = 0.0
         for t in range(trials):
             net = sample_instance(InstanceParams(16, seed=rng.getrandbits(64)))
-            count = round_step(net, transmitters).reception_count
+            count = round_step(net, transmitters)[0].bit_count()
             total += count
             total_sq += count * count
         mean = total / trials
@@ -207,12 +219,12 @@ def test_monte_carlo_validates_arguments():
 
 def monte_carlo_by_nets(params, s, trials, seed):
     """Reference: build each trial's net and count one round_step."""
-    transmitters = TransmitSet(params.n_prime, (1 << s) - 1)
+    transmitters = (1 << s) - 1
     rng = derive_rng(seed)
     total = total_sq = 0.0
     for _ in range(trials):
         net = sample_instance(InstanceParams(params.n, rng.getrandbits(64)))
-        count = round_step(net, transmitters).reception_count
+        count = round_step(net, transmitters)[0].bit_count()
         total += count
         total_sq += count * count
     mean = total / trials
