@@ -21,7 +21,7 @@ from . import __version__
 # certify_chain stays a module attribute here: the benchmark's tracer
 # (perfbench/spans.py) wraps it by name.
 from .analytic import certify_chain, chain_grid, expected_receivers, expected_receivers_upper
-from .broadcast import POLICIES, BroadcastConfig, run_broadcast
+from .broadcast import CONTENT_MODELS, POLICIES, BroadcastConfig, run_broadcast
 from .errors import BudgetError, InputError
 from .instance import InstanceParams, build_radius2, sample_instance
 from .model import Radius2Net, load as load_net, save as save_net
@@ -179,8 +179,8 @@ def _parse_threshold(raw: Optional[str]) -> Optional[Fraction]:
 def _cmd_verify(args) -> None:
     # Flags are checked in both modes, before the maximization, which can be long.
     threshold = _parse_threshold(args.threshold)
-    if args.seed < 0:
-        raise InputError(f"seed must be nonnegative, got {args.seed}")
+    if not 0 <= args.seed < 2**64:
+        raise InputError(f"seed must be a 64-bit unsigned integer, got {args.seed}")
     if args.restarts < 1:
         raise InputError(f"restarts must be positive, got {args.restarts}")
     net = load_net(args.net)
@@ -378,9 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a k-message broadcast")
     simulate.add_argument("--net", required=True)
     simulate.add_argument("--k", type=int, required=True)
-    simulate.add_argument("--policy", choices=["round_robin", "greedy_schedule", "random_p"],
-                          default="round_robin")
-    simulate.add_argument("--model", choices=["routing", "coding"], default="routing")
+    simulate.add_argument("--policy", choices=POLICIES, default="round_robin")
+    simulate.add_argument("--model", choices=CONTENT_MODELS, default="routing")
     simulate.add_argument("--p", type=float, default=None, help="random_p transmit probability")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--max-rounds", type=int, default=100_000)

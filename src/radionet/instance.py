@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, Receiver, bit_members
+from .model import BipartiteRadioNet, Radius2Net, Receiver
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def receiver_draws(params: InstanceParams) -> Iterator[tuple[int, int]]:
 
 def sample_instance(params: InstanceParams) -> BipartiteRadioNet:
     """Draw one random instance; deterministic given the seed (see receiver_draws)."""
-    receivers = tuple(Receiver(class_index, bit_members(mask)) for class_index, mask in receiver_draws(params))
+    receivers = tuple(Receiver(class_index, mask) for class_index, mask in receiver_draws(params))
     return BipartiteRadioNet(params.n_prime, receivers)
 
 

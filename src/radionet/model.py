@@ -18,8 +18,8 @@ them.
 The rule has two forms on Python int bit sets, and every exactly-one test
 in the package uses one of them:
 
-- receiver side (`sole_sender`, used by Monte Carlo): a node with neighbor
-  mask m hears transmit set T iff x = m & T is nonzero and x & (x - 1) == 0;
+- receiver side (used by Monte Carlo): a receiver with neighbor mask m, its
+  `Receiver.neighbors`, hears transmit set T iff popcount(m & T) == 1;
 - sender side (`fold`): fold each transmitting sender's reach mask, the
   receivers it reaches, into the receivers at one or more, two or more and
   three or more transmitting neighbors, `three |= two & m; two |= one & m;
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 
@@ -44,18 +44,16 @@ FORMAT_HEADER = "radionet v1"
 
 @dataclass(frozen=True)
 class Receiver:
-    """One receiver: its degree class and its sorted sender neighbor list.
+    """One receiver: its degree class and its sender neighbors as a bit mask.
 
-    Generated instances keep len(neighbors) == 2**class_index; hand-built
-    nets may violate that, and neither construction nor loading rejects it.
+    Bit u of `neighbors` is set iff sender u is a neighbor. Generated
+    instances keep neighbors.bit_count() == 2**class_index; hand-built nets
+    may violate that, and neither construction nor loading rejects it.
     class_index 0 is the degenerate class for hand-built degree-1 receivers.
     """
 
     class_index: int
-    neighbors: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "neighbors", tuple(int(u) for u in self.neighbors))
+    neighbors: int
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,9 @@ class BipartiteRadioNet:
 
     Only receiver->sender adjacency exists; there are no sender-sender or
     receiver-receiver edges. Immutable after construction, so round
-    evaluation is reentrant and safe to share across workers.
+    evaluation is reentrant and safe to share across workers. A receiver
+    with a negative class index, or a neighbor mask that is negative or has
+    a bit at or past sender_count, is an InputError.
     """
 
     sender_count: int
@@ -74,6 +74,14 @@ class BipartiteRadioNet:
         if self.sender_count < 1:
             raise InputError("sender_count must be a positive integer")
         object.__setattr__(self, "receivers", tuple(self.receivers))
+        for i, receiver in enumerate(self.receivers):
+            if receiver.class_index < 0:
+                raise InputError(f"malformed net: receiver {i}: negative class index {receiver.class_index}")
+            if not 0 <= receiver.neighbors < 1 << self.sender_count:
+                raise InputError(
+                    f"malformed net: receiver {i}: neighbor mask {receiver.neighbors:#x}"
+                    f" out of range for {self.sender_count} senders"
+                )
 
     @property
     def receiver_count(self) -> int:
@@ -81,12 +89,18 @@ class BipartiteRadioNet:
 
     @cached_property
     def reach_masks(self) -> tuple[int, ...]:
-        """Each sender's receivers as a bit mask: bit r is set iff the sender reaches receiver r."""
-        reach = [0] * self.sender_count
-        for r, receiver in enumerate(self.receivers):
-            for u in receiver.neighbors:
-                reach[u] |= 1 << r
-        return tuple(reach)
+        """Each sender's receivers as a bit mask: bit r is set iff the sender reaches receiver r.
+
+        The transpose of the receivers' neighbor masks, through their binary
+        digits: one row per receiver, the last receiver first, each mask
+        written as n' digits with sender 0 last. Column j read top to bottom
+        is then the reach mask of sender n' - 1 - j, receiver 0 its lowest
+        digit. A leading row of zeros adds nothing to any value and keeps
+        the n' columns when there are no receivers.
+        """
+        width = f"0{self.sender_count}b"
+        rows = [format(0, width)] + [format(r.neighbors, width) for r in reversed(self.receivers)]
+        return tuple(int("".join(column), 2) for column in zip(*rows))[::-1]
 
 
 def bit_mask(ids: Iterable[int]) -> int:
@@ -105,18 +119,6 @@ def bit_members(mask: int) -> tuple[int, ...]:
         members.append(low.bit_length() - 1)
         mask ^= low
     return tuple(members)
-
-
-def sole_sender(mask: int, bits: int) -> Optional[int]:
-    """The reception rule on bit masks: the one transmitter among the neighbors.
-
-    `mask` holds a node's neighbors and `bits` the transmit set. Returns the
-    id of the single transmitting neighbor, or None on silence or collision.
-    """
-    x = mask & bits
-    if x and not x & (x - 1):
-        return x.bit_length() - 1
-    return None
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ class Radius2Net:
             adj[self.sender_node(j)].append(self.SOURCE)
         for i, receiver in enumerate(core.receivers):
             node = self.receiver_node(i)
-            for u in receiver.neighbors:
+            for u in bit_members(receiver.neighbors):
                 adj[node].append(self.sender_node(u))
                 adj[self.sender_node(u)].append(node)
         for t in range(self.void_count):
@@ -260,26 +262,6 @@ def _eccentricity(adjacency: tuple[tuple[int, ...], ...], start: int) -> Union[i
         depth += 1
 
 
-def _structure_problems(net: BipartiteRadioNet) -> list[str]:
-    """Violations that make the reception rule meaningless; loading rejects these.
-
-    A degree other than 2^class is not among them: hand-built nets may have it.
-    """
-    problems: list[str] = []
-    for i, receiver in enumerate(net.receivers):
-        nbrs = receiver.neighbors
-        if receiver.class_index < 0:
-            problems.append(f"receiver {i}: negative class index {receiver.class_index}")
-        if len(set(nbrs)) != len(nbrs):
-            problems.append(f"receiver {i}: duplicate neighbor in {list(nbrs)}")
-        elif any(b <= a for a, b in zip(nbrs, nbrs[1:])):
-            problems.append(f"receiver {i}: neighbors not sorted increasing {list(nbrs)}")
-        for u in nbrs:
-            if not 0 <= u < net.sender_count:
-                problems.append(f"receiver {i}: neighbor {u} out of range [0, {net.sender_count})")
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # Line-oriented text serialization. Deterministic (sorted neighbor lists) so
 # equal networks produce byte-identical files.
@@ -292,7 +274,7 @@ def dumps(net: RadioNet) -> str:
     lines = [f"{FORMAT_HEADER} {core.sender_count} {core.receiver_count}"]
     for receiver in core.receivers:
         parts = [str(receiver.class_index)]
-        parts.extend(str(u) for u in sorted(receiver.neighbors))
+        parts.extend(str(u) for u in bit_members(receiver.neighbors))
         lines.append(" ".join(parts))
     if isinstance(net, Radius2Net):
         lines.append(f"radius2 {net.total_nodes} {net.void_count}")
@@ -303,7 +285,8 @@ def loads(text: str) -> RadioNet:
     """Parse the `radionet v1` format; the `radius2` footer selects the wrapper.
 
     Raises InputError on any structural violation: bad header or footer, a
-    negative count, or neighbor ids out of range, repeated or unsorted.
+    negative count or class index, or neighbor ids out of range, repeated or
+    unsorted.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -323,19 +306,22 @@ def loads(text: str) -> RadioNet:
             f"expected {receiver_count} receiver lines (+ optional footer), got {len(body)}"
         )
     receivers = []
-    for line_no, line in enumerate(body[:receiver_count], start=2):
-        fields = line.split()
+    for i, line in enumerate(body[:receiver_count]):
         try:
-            values = [int(x) for x in fields]
+            class_index, *ids = [int(x) for x in line.split()]
         except ValueError as exc:
-            raise InputError(f"line {line_no}: non-integer field in {line!r}") from exc
-        if not values:
-            raise InputError(f"line {line_no}: empty receiver line")
-        receivers.append(Receiver(values[0], tuple(values[1:])))
+            raise InputError(f"line {i + 2}: non-integer field in {line!r}") from exc
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            problem = "duplicate neighbor in" if len(set(ids)) < len(ids) else "neighbors not sorted increasing"
+            raise InputError(f"malformed net: receiver {i}: {problem} {ids}")
+        # The ids are sorted, so the ends bound them all. The range is checked
+        # before bit_mask: a negative id is no shift count, and a huge one
+        # would exhaust memory.
+        if ids and not 0 <= ids[0] <= ids[-1] < sender_count:
+            u = next(u for u in ids if not 0 <= u < sender_count)
+            raise InputError(f"malformed net: receiver {i}: neighbor {u} out of range [0, {sender_count})")
+        receivers.append(Receiver(class_index, bit_mask(ids)))
     net = BipartiteRadioNet(sender_count, tuple(receivers))
-    problems = _structure_problems(net)
-    if problems:
-        raise InputError(f"malformed net: {problems[0]}")
     if len(body) == receiver_count:
         return net
     footer = body[-1].split()

@@ -26,9 +26,7 @@ from .errors import BudgetError, InputError
 # sample_instance and round_step stay module attributes here: the
 # benchmark's tracer (perfbench/spans.py) wraps them by name.
 from .instance import InstanceParams, receiver_draws, sample_instance
-from .model import (
-    BipartiteRadioNet, bit_mask, bit_members, fold, round_step, sole_sender
-)
+from .model import BipartiteRadioNet, bit_mask, bit_members, fold, round_step
 from .util import derive_rng
 
 #: Exhaustive enumeration is capped at 2**26 subsets.
@@ -280,10 +278,7 @@ def monte_carlo_expectation(
     total_sq = 0.0
     for _ in range(trials):
         trial = InstanceParams(params.n, rng.getrandbits(64))
-        count = 0
-        for _, mask in receiver_draws(trial):
-            if sole_sender(mask, transmitters) is not None:
-                count += 1
+        count = sum((mask & transmitters).bit_count() == 1 for _, mask in receiver_draws(trial))
         total += count
         total_sq += count * count
     mean = total / trials

@@ -2,14 +2,14 @@
 
 import pytest
 
-from radionet.model import _structure_problems
+from radionet.model import dumps, loads
 
 
 def _class_degree_problems(net):
     return [
-        f"receiver {i}: degree {len(r.neighbors)} != 2^{r.class_index}"
+        f"receiver {i}: degree {r.neighbors.bit_count()} != 2^{r.class_index}"
         for i, r in enumerate(net.receivers)
-        if r.class_index >= 0 and len(r.neighbors) != 1 << r.class_index
+        if r.neighbors.bit_count() != 1 << r.class_index
     ]
 
 
@@ -21,6 +21,12 @@ def class_degree_problems():
 
 @pytest.fixture
 def instance_problems():
-    """Every way a net falls short of a generated instance: the structure
-    problems `loads` rejects, then every class-degree problem."""
-    return lambda net: _structure_problems(net) + _class_degree_problems(net)
+    """Every way a net falls short of a generated instance. It must come
+    back equal from its file, whose structure `loads` checks; the fixture
+    then lists every class-degree problem."""
+
+    def problems(net):
+        assert loads(dumps(net)) == net
+        return _class_degree_problems(net)
+
+    return problems

@@ -14,13 +14,13 @@ from radionet.broadcast import (
 )
 from radionet.errors import InputError
 from radionet.instance import InstanceParams, build_radius2, sample_instance
-from radionet.model import BipartiteRadioNet, Receiver, round_step
+from radionet.model import BipartiteRadioNet, Receiver, bit_mask, round_step
 from radionet.verifier import max_receptions_exact
 
 
 def toy_core():
     """Two senders; both receivers hear both senders."""
-    return BipartiteRadioNet(2, (Receiver(1, (0, 1)), Receiver(1, (0, 1))))
+    return BipartiteRadioNet(2, (Receiver(1, bit_mask((0, 1))), Receiver(1, bit_mask((0, 1)))))
 
 
 def toy_wrapper():
@@ -29,7 +29,7 @@ def toy_wrapper():
 
 def skewed_core():
     """r1 hears only sender a; r2 hears both."""
-    return BipartiteRadioNet(2, (Receiver(0, (0,)), Receiver(1, (0, 1))))
+    return BipartiteRadioNet(2, (Receiver(0, bit_mask((0,))), Receiver(1, bit_mask((0, 1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_report_grid_matches_pinned_digest():
     # early, random_p rounds that all collide (p=1) or are often empty, and a
     # receiver no sender reaches, where greedy_schedule stops on an empty mask.
     unreachable = BipartiteRadioNet(
-        3, (Receiver(0, (0,)), Receiver(1, (0, 1)), Receiver(0, ()), Receiver(1, (1, 2)))
+        3, (Receiver(0, 0b001), Receiver(1, 0b011), Receiver(0, 0), Receiver(1, 0b110))
     )
     nets = (
         build_radius2(sample_instance(InstanceParams(64, seed=1)), 64),

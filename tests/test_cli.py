@@ -83,7 +83,11 @@ def test_verify_search_rejects_negative_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["--exact", "--search"])
-@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--restarts", "0"]], ids=["seed", "restarts"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--seed", "-1"], ["--seed", str(2**64)], ["--restarts", "0"]],
+    ids=["seed", "seed-past-64-bits", "restarts"],
+)
 def test_verify_rejects_bad_search_flags_before_loading(tmp_path, capsys, mode, flag):
     # The net does not exist: the error names the flag, so it was checked first.
     assert dispatch(["verify", "--net", str(tmp_path / "ghost.net"), mode, *flag]) == 3
@@ -302,13 +306,15 @@ def test_report_renders_null_cells_empty(tmp_path):
     [
         b"radionet v1 1 1\n1 0 0\n",  # sender listed twice
         b"radionet v1 1 1\n1 0 -1\n",  # negative sender id
+        b"radionet v1 2 1\n1 0 7\n",  # sender id past the sender count
+        b"radionet v1 2 1\n-1 0\n",  # negative class index
         b"radionet v1 2 1\n1 1 0\n",  # neighbors out of order
         b"radionet v1 2 1\n1 0 1\nradius2 x 0\n",  # non-integer footer
         b"radionet v1 2 -1\n",  # negative receiver count
         b"radionet v1 1 1\n1 \xff\n",  # not UTF-8
     ],
-    ids=["duplicate", "negative-id", "unsorted", "footer-not-integer", "negative-count",
-         "not-utf8"],
+    ids=["duplicate", "negative-id", "id-past-senders", "negative-class", "unsorted",
+         "footer-not-integer", "negative-count", "not-utf8"],
 )
 def test_verify_rejects_malformed_net(tmp_path, capsys, content):
     net = tmp_path / "bad.net"

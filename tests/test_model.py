@@ -14,7 +14,6 @@ from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
     Receiver,
-    _structure_problems,
     bit_mask,
     bit_members,
     dumps,
@@ -26,7 +25,7 @@ from radionet.model import (
 
 def toy_net():
     """Senders {a=0, b=1}; r1 hears only a, r2 hears both."""
-    return BipartiteRadioNet(2, (Receiver(0, (0,)), Receiver(1, (0, 1))))
+    return BipartiteRadioNet(2, (Receiver(0, bit_mask((0,))), Receiver(1, bit_mask((0, 1)))))
 
 
 def test_round_step_nobody_transmits():
@@ -61,7 +60,7 @@ def test_round_step_matches_independent_recount():
     for _ in range(200):
         senders = rng.randint(1, 8)
         receivers = tuple(
-            Receiver(0, tuple(sorted(rng.sample(range(senders), rng.randint(1, senders)))))
+            Receiver(0, bit_mask(rng.sample(range(senders), rng.randint(1, senders))))
             for _ in range(rng.randint(0, 10))
         )
         net = BipartiteRadioNet(senders, receivers)
@@ -69,7 +68,7 @@ def test_round_step_matches_independent_recount():
         out_heard, out_listeners = round_step(net, bit_mask(members))
         sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
         for i, receiver in enumerate(receivers):
-            hits = [u for u in receiver.neighbors if u in members]
+            hits = [u for u in bit_members(receiver.neighbors) if u in members]
             if len(hits) == 1:
                 sole[hits[0]] = sole.get(hits[0], 0) | 1 << i
                 heard.append(i)
@@ -108,7 +107,7 @@ def test_radius_of_star_is_one():
 
 
 def test_radius_disconnected_reports_infinity():
-    broken = Radius2Net(BipartiteRadioNet(2, (Receiver(0, ()),)), 0)
+    broken = Radius2Net(BipartiteRadioNet(2, (Receiver(0, 0),)), 0)
     assert math.isinf(radius(broken))
 
 
@@ -123,16 +122,18 @@ def test_validate_flags_duplicate_neighbor():
 
 
 def test_validate_flags_wrong_class_degree(class_degree_problems):
-    net = BipartiteRadioNet(4, (Receiver(2, (0, 1, 2)),))
-    assert _structure_problems(net) == []  # loading accepts it
+    net = BipartiteRadioNet(4, (Receiver(2, bit_mask((0, 1, 2))),))
+    assert loads(dumps(net)) == net  # loading accepts it
     assert class_degree_problems(net) == ["receiver 0: degree 3 != 2^2"]
 
 
 def test_validate_flags_out_of_range_and_unsorted():
-    net = BipartiteRadioNet(2, (Receiver(1, (1, 0)), Receiver(0, (7,))))
-    messages = "\n".join(_structure_problems(net))
-    assert "not sorted" in messages
-    assert "out of range" in messages
+    # A hand-built net: a mask bit at or past sender_count, or a negative mask or class.
+    for mask in (1 << 2, 1 << 7, 0b111, -1):
+        with pytest.raises(InputError, match="receiver 1: neighbor mask .* out of range for 2 senders"):
+            BipartiteRadioNet(2, (Receiver(1, 0b11), Receiver(0, mask)))
+    with pytest.raises(InputError, match="receiver 0: negative class index -1"):
+        BipartiteRadioNet(2, (Receiver(-1, 0b01),))
     with pytest.raises(InputError, match="not sorted"):
         loads("radionet v1 2 1\n1 1 0\n")
     with pytest.raises(InputError, match="out of range"):

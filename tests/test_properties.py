@@ -47,12 +47,12 @@ def cores(draw, max_senders=12, min_receivers=0, max_receivers=10, min_degree=0)
             max_size=max_receivers,
         )
     )
-    return BipartiteRadioNet(senders, tuple(Receiver(0, sorted(s)) for s in neighbor_sets))
+    return BipartiteRadioNet(senders, tuple(Receiver(0, bit_mask(s)) for s in neighbor_sets))
 
 
 def brute_force_maximum(net):
     """Best reception count and the smallest mask reaching it, over every subset."""
-    neighbor_sets = [frozenset(r.neighbors) for r in net.receivers]
+    neighbor_sets = [frozenset(bit_members(r.neighbors)) for r in net.receivers]
     best, best_mask = -1, 0
     for size in range(net.sender_count + 1):
         for chosen in combinations(range(net.sender_count), size):
@@ -64,7 +64,7 @@ def brute_force_maximum(net):
 
 
 def net_of(senders, *neighbor_sets):
-    return BipartiteRadioNet(senders, tuple(Receiver(0, nbrs) for nbrs in neighbor_sets))
+    return BipartiteRadioNet(senders, tuple(Receiver(0, bit_mask(nbrs)) for nbrs in neighbor_sets))
 
 
 def split_edge_examples(test):
@@ -139,7 +139,7 @@ def layout_neighbors(net):
     for t in range(net.void_count):
         link(net.SOURCE, net.void_node(t))
     for i, receiver in enumerate(core.receivers):
-        for u in receiver.neighbors:
+        for u in bit_members(receiver.neighbors):
             link(net.receiver_node(i), net.sender_node(u))
     return nbrs
 
@@ -161,7 +161,7 @@ def test_round_step_bipartite_matches_recount(net, data):
     out_heard, out_listeners = round_step(net, bit_mask(members))
     sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
     for i, receiver in enumerate(net.receivers):
-        hits = [u for u in receiver.neighbors if u in members]
+        hits = [u for u in bit_members(receiver.neighbors) if u in members]
         if len(hits) == 1:
             sole[hits[0]] = sole.get(hits[0], 0) | 1 << i
             heard.append(i)
@@ -170,11 +170,27 @@ def test_round_step_bipartite_matches_recount(net, data):
     assert out_listeners == tuple(sorted(sole.items()))
 
 
+def reference_reach(core):
+    """Each sender's receivers as a bit mask, transposed from the neighbor masks bit by bit."""
+    return tuple(
+        bit_mask(r for r, receiver in enumerate(core.receivers) if receiver.neighbors >> u & 1)
+        for u in range(core.sender_count)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cores())
+@example(BipartiteRadioNet(3, ()))  # no receivers
+@example(net_of(3, (0, 2), (), (2,)))  # a receiver with mask 0; sender 1 reaches nobody
+def test_reach_masks_transpose_the_neighbor_masks(core):
+    assert core.reach_masks == reference_reach(core)
+
+
 @settings(max_examples=150, deadline=None)
 @given(cores(), st.data())
 def test_fold_matches_recount(core, data):
     members = data.draw(st.lists(st.integers(0, core.sender_count - 1), unique=True))
-    counts = [len(set(r.neighbors).intersection(members)) for r in core.receivers]
+    counts = [(r.neighbors & bit_mask(members)).bit_count() for r in core.receivers]
     expected = tuple(bit_mask(i for i, c in enumerate(counts) if c >= t) for t in (1, 2, 3))
     assert fold(core.reach_masks, members) == expected
 
@@ -204,7 +220,7 @@ def test_climb_stops_at_a_local_maximum(core, data):
 
 def start_counters(core, start):
     """Transmitting neighbors of every receiver under the transmit set `start`."""
-    return [(bit_mask(r.neighbors) & start).bit_count() for r in core.receivers]
+    return [(r.neighbors & start).bit_count() for r in core.receivers]
 
 
 def reference_climb(sender_adj, counters, mask, flips):
@@ -240,7 +256,7 @@ def test_climb_matches_reference_loops(core, data):
     start = data.draw(st.integers(0, (1 << core.sender_count) - 1))
     flips = data.draw(st.integers(0, 2 * core.sender_count))
     sender_adj = [
-        [r for r, receiver in enumerate(core.receivers) if u in receiver.neighbors]
+        [r for r, receiver in enumerate(core.receivers) if receiver.neighbors >> u & 1]
         for u in range(core.sender_count)
     ]
     counters = start_counters(core, start)
@@ -302,8 +318,8 @@ def brute_force_radius(net):
 @settings(max_examples=100, deadline=None)
 @given(cores(max_senders=6, max_receivers=8), st.integers(0, 3))
 @example(BipartiteRadioNet(3, ()), 2)  # the source is adjacent to every node
-@example(BipartiteRadioNet(1, (Receiver(0, (0,)), Receiver(0, (0,)))), 0)  # so is sender 0
-@example(BipartiteRadioNet(2, (Receiver(0, ()),)), 1)  # an isolated receiver
+@example(BipartiteRadioNet(1, (Receiver(0, 0b1), Receiver(0, 0b1))), 0)  # so is sender 0
+@example(BipartiteRadioNet(2, (Receiver(0, 0),)), 1)  # an isolated receiver
 def test_radius_equals_minimum_eccentricity(core, voids):
     net = Radius2Net(core, voids)
     assert radius(net) == brute_force_radius(net)
@@ -458,7 +474,7 @@ def reference_broadcast(net, cfg, maxrec):
 def test_run_broadcast_matches_per_receiver_reference(core, isolated, k, cap, p, seed,
                                                       span_sample):
     if isolated:  # a receiver no sender reaches: it never decodes
-        core = BipartiteRadioNet(core.sender_count, core.receivers + (Receiver(0, ()),))
+        core = BipartiteRadioNet(core.sender_count, core.receivers + (Receiver(0, 0),))
     net = Radius2Net(core, 0)
     maxrec, _ = brute_force_maximum(core)
     for policy, prob in (("round_robin", None), ("greedy_schedule", None), ("random_p", p)):

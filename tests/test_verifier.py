@@ -7,7 +7,7 @@ import pytest
 
 from radionet.errors import BudgetError, InputError
 from radionet.instance import InstanceParams, sample_instance
-from radionet.model import BipartiteRadioNet, Receiver, round_step
+from radionet.model import BipartiteRadioNet, Receiver, bit_mask, round_step
 from radionet.util import derive_rng
 from radionet.verifier import (
     ENUMERATION_BUDGET_BITS,
@@ -19,7 +19,7 @@ from radionet.verifier import (
 
 
 def toy_net():
-    return BipartiteRadioNet(2, (Receiver(0, (0,)), Receiver(1, (0, 1))))
+    return BipartiteRadioNet(2, (Receiver(0, bit_mask((0,))), Receiver(1, bit_mask((0, 1)))))
 
 
 def test_exact_on_toy():
@@ -48,7 +48,7 @@ def test_exact_at_the_budget_edge():
     # one half of the sender split and some across it: every receiver can
     # hear at once, and the smallest witness takes each one's lowest neighbour.
     neighbor_sets = [(0, 14), (1, 2, 25), (3,), (13, 20, 24), (5, 6, 7, 8), (12,), (15, 16, 17, 18, 19)]
-    net = BipartiteRadioNet(ENUMERATION_BUDGET_BITS, tuple(Receiver(0, s) for s in neighbor_sets))
+    net = BipartiteRadioNet(ENUMERATION_BUDGET_BITS, tuple(Receiver(0, bit_mask(s)) for s in neighbor_sets))
     result = max_receptions_exact(net)
     assert result.best_count == len(neighbor_sets)
     assert result.witness == sum(1 << min(s) for s in neighbor_sets) == 0xB02B
