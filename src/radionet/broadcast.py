@@ -21,15 +21,16 @@ from typing import Optional, Union
 from .errors import InputError
 from .model import BipartiteRadioNet, Radius2Net, bit_members, round_step
 from .util import derive_rng
-from .verifier import (
-    ENUMERATION_BUDGET_BITS,
-    climb,
-    max_receptions_exact,
-    max_receptions_search,
-)
+# The two engines are imported only for the benchmark's tracer (perfbench/spans.py).
+from .verifier import climb, max_receptions_exact, max_receptions_search
 
 POLICIES = ("round_robin", "greedy_schedule", "random_p")
 CONTENT_MODELS = ("routing", "coding")
+
+#: The largest k `simulate` takes, and the largest k x receivers: a receiver's
+#: GF(2) basis holds up to k rows of k bits, and routing keeps k holder sets.
+MAX_K = 1 << 10
+MAX_K_RECEIVERS = 1 << 20
 
 
 class GF2Basis:
@@ -106,8 +107,6 @@ class BroadcastReport:
     total_receptions: int
     throughput: Optional[float]
     accounting_lower_bound: Union[int, float]
-    maxrec: int
-    maxrec_method: str
     series: tuple[tuple[int, int, int], ...]
 
 
@@ -153,9 +152,7 @@ def _span_sample(k: int, rng) -> int:
     return 0  # only reachable with vanishing probability; nothing to send
 
 
-def run_broadcast(
-    net: Radius2Net, cfg: BroadcastConfig, maxrec: Optional[int] = None
-) -> BroadcastReport:
+def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> BroadcastReport:
     """Simulate k-message broadcast until every receiver decodes, or the cap.
 
     The source phase plays no round: the source alone transmits one message
@@ -173,21 +170,13 @@ def run_broadcast(
     messages they lack; coding packets are unit vectors only rarely. Each
     round's receptions are added into bit-plane counters, read out once at
     the end. The minimum decoded dimension is kept incrementally, since
-    ranks never fall. Deterministic given (net, cfg). Pass a precomputed
-    `maxrec` to skip the per-run maximization.
+    ranks never fall. Deterministic given (net, cfg). `maxrec`, the most
+    receivers one round can serve, enters only the counting bound; the
+    caller computes it.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
     core = net.core
-    maxrec_method = "given"
-    if maxrec is None:
-        if core.sender_count <= ENUMERATION_BUDGET_BITS:
-            best = max_receptions_exact(core)
-        else:
-            best = max_receptions_search(core, seed=cfg.seed)
-        maxrec = best.best_count
-        maxrec_method = best.method
-
     k = cfg.k
     receiver_count = core.receiver_count
     bound = lower_bound_rounds(k, receiver_count, maxrec)
@@ -259,8 +248,6 @@ def run_broadcast(
         total_receptions=sum(receptions),
         throughput=(k / rounds) if rounds else None,
         accounting_lower_bound=bound,
-        maxrec=maxrec,
-        maxrec_method=maxrec_method,
         series=tuple(series),
     )
 

@@ -21,12 +21,18 @@ from . import __version__
 # certify_chain stays a module attribute here: the benchmark's tracer
 # (perfbench/spans.py) wraps it by name.
 from .analytic import certify_chain, chain_grid, expected_receivers, expected_receivers_upper
-from .broadcast import CONTENT_MODELS, POLICIES, BroadcastConfig, run_broadcast
+from .broadcast import CONTENT_MODELS, MAX_K, MAX_K_RECEIVERS, POLICIES, BroadcastConfig, run_broadcast
 from .errors import BudgetError, InputError
 from .instance import InstanceParams, build_radius2, sample_instance
 from .model import Radius2Net, load as load_net, save as save_net
 from .util import atomic_write_text
-from .verifier import check_lemma_threshold, max_receptions_exact, max_receptions_search
+from .verifier import (
+    ENUMERATION_BUDGET_BITS,
+    MAX_RESTARTS,
+    check_lemma_threshold,
+    max_receptions_exact,
+    max_receptions_search,
+)
 
 SCHEMA_VERSION = 1
 # Read by nothing here; the benchmark (perfbench/workloads.py) still sets it by this name.
@@ -183,6 +189,8 @@ def _cmd_verify(args) -> None:
         raise InputError(f"seed must be a 64-bit unsigned integer, got {args.seed}")
     if args.restarts < 1:
         raise InputError(f"restarts must be positive, got {args.restarts}")
+    if args.restarts > MAX_RESTARTS:
+        raise BudgetError(f"restarts {args.restarts} is past the budget of {MAX_RESTARTS}")
     net = load_net(args.net)
     core = net.core if isinstance(net, Radius2Net) else net
     if threshold is not None:
@@ -241,7 +249,8 @@ def _cmd_simulate(args) -> None:
     net = load_net(args.net)
     if not isinstance(net, Radius2Net):
         raise InputError("simulate needs a radius-2 network file (gen --radius2)")
-    for i, receiver in enumerate(net.core.receivers):
+    core = net.core
+    for i, receiver in enumerate(core.receivers):
         if not receiver.neighbors:
             raise InputError(f"receiver {i} has no sender neighbour; no broadcast reaches it")
     cfg = BroadcastConfig(
@@ -252,7 +261,17 @@ def _cmd_simulate(args) -> None:
         max_rounds=args.max_rounds,
         seed=args.seed,
     )
-    report = run_broadcast(net, cfg)
+    if args.k > MAX_K or args.k * core.receiver_count > MAX_K_RECEIVERS:
+        raise BudgetError(
+            f"k={args.k} on {core.receiver_count} receivers is past the budget of"
+            f" k <= {MAX_K} and k x receivers <= {MAX_K_RECEIVERS}"
+        )
+    # The one maximization of the run: exact within the enumeration budget.
+    if core.sender_count <= ENUMERATION_BUDGET_BITS:
+        best = max_receptions_exact(core)
+    else:
+        best = max_receptions_search(core, seed=args.seed)
+    report = run_broadcast(net, cfg, best.best_count)
     bound = report.accounting_lower_bound
     config = {
         "k": args.k,
@@ -269,8 +288,8 @@ def _cmd_simulate(args) -> None:
         "decoded_all": not report.incomplete,
         "incomplete": report.incomplete,
         "k": args.k,
-        "maxrec": report.maxrec,
-        "maxrec_method": report.maxrec_method,
+        "maxrec": best.best_count,
+        "maxrec_method": best.method,
         "min_receptions": min(report.per_receiver_receptions, default=0),
         "model": args.model,
         "n": net.total_nodes,

@@ -6,5 +6,5 @@ class InputError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Raised when a request exceeds a hard computational budget (e.g. exhaustive
-    enumeration past the subset limit). The message names the cheaper alternative."""
+    """Raised when a request exceeds a hard computational budget: exhaustive
+    enumeration past the subset limit, or a size past its named limit."""

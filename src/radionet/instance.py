@@ -14,8 +14,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .model import BipartiteRadioNet, Radius2Net, Receiver
+
+#: The largest node budget: n' = 1024 senders and 10 classes, 10240 receivers.
+MAX_N = 4**10
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,8 @@ class InstanceParams:
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1) or (self.n.bit_length() - 1) % 2:
             raise InputError(f"n={self.n} must be a power of 4 (4, 16, 64, ...)")
+        if self.n > MAX_N:
+            raise BudgetError(f"n={self.n} is past the node budget of {MAX_N}")
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must be a 64-bit unsigned integer")
 
@@ -97,7 +102,7 @@ def receiver_draws(params: InstanceParams) -> Iterator[tuple[int, int]]:
     reseeded per receiver, draws them all.
     """
     n_prime = params.n_prime
-    gen = random.Random()  # reseeded before every receiver's draws
+    gen = random.Random(0)  # reseeded before every receiver's draws; 0 spares an OS entropy read
     for class_index in range(1, params.class_count + 1):
         first = (class_index - 1) * n_prime
         for mask in _receiver_masks(gen, params.seed, first, n_prime, n_prime, 1 << class_index):

@@ -36,10 +36,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 #: First line of the on-disk network format.
 FORMAT_HEADER = "radionet v1"
+
+#: The largest sender and receiver counts a net file may declare; a net
+#: generated at the node budget (`instance.MAX_N`) has 1024 and 10240.
+MAX_SENDERS = 1 << 11
+MAX_RECEIVERS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ def loads(text: str) -> RadioNet:
 
     Raises InputError on any structural violation: bad header or footer, a
     negative count or class index, or neighbor ids out of range, repeated or
-    unsorted.
+    unsorted. A header past MAX_SENDERS or MAX_RECEIVERS is a BudgetError.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -300,6 +305,10 @@ def loads(text: str) -> RadioNet:
         raise InputError(f"bad header counts in {lines[0]!r}") from exc
     if receiver_count < 0:
         raise InputError(f"negative receiver count in {lines[0]!r}")
+    if sender_count > MAX_SENDERS or receiver_count > MAX_RECEIVERS:
+        raise BudgetError(
+            f"header {lines[0]!r} is past the budget of {MAX_SENDERS} senders and {MAX_RECEIVERS} receivers"
+        )
     body = lines[1:]
     if len(body) not in (receiver_count, receiver_count + 1):
         raise InputError(

@@ -32,6 +32,9 @@ from .util import derive_rng
 #: Exhaustive enumeration is capped at 2**26 subsets.
 ENUMERATION_BUDGET_BITS = 26
 
+#: The most random restarts `verify --search` takes; every start is built before the climbs.
+MAX_RESTARTS = 1 << 16
+
 #: Candidate transmit sets evaluated per numpy pass of exhaustive enumeration,
 #: or 2**(n'//2) when that is more: a pass covers the whole low-half table.
 CHUNK_BITS = 14

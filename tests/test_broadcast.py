@@ -27,6 +27,11 @@ def toy_wrapper():
     return build_radius2(toy_core(), 5)
 
 
+def run_exact(net, cfg):
+    """run_broadcast with the exact single-round maximum, as `simulate` passes it at n' <= 26."""
+    return run_broadcast(net, cfg, max_receptions_exact(net.core).best_count)
+
+
 def skewed_core():
     """r1 hears only sender a; r2 hears both."""
     return BipartiteRadioNet(2, (Receiver(0, bit_mask((0,))), Receiver(1, bit_mask((0, 1)))))
@@ -112,7 +117,7 @@ def test_config_validation():
 
 def test_toy_round_robin_single_message():
     # Source sends in round 1; one sender relays in round 2; everyone decodes.
-    report = run_broadcast(toy_wrapper(), BroadcastConfig(k=1))
+    report = run_exact(toy_wrapper(), BroadcastConfig(k=1))
     assert report.rounds_used == 2
     assert report.per_receiver_decoded == (True, True)
     assert report.per_receiver_receptions == (1, 1)
@@ -121,7 +126,7 @@ def test_toy_round_robin_single_message():
 
 
 def test_zero_messages_decodes_vacuously():
-    report = run_broadcast(toy_wrapper(), BroadcastConfig(k=0))
+    report = run_exact(toy_wrapper(), BroadcastConfig(k=0))
     assert report.rounds_used == 0
     assert report.per_receiver_decoded == (True, True)
     assert report.throughput is None
@@ -129,7 +134,7 @@ def test_zero_messages_decodes_vacuously():
 
 
 def test_toy_coding_needs_k_independent_vectors():
-    report = run_broadcast(toy_wrapper(), BroadcastConfig(k=2, content_model="coding", seed=5))
+    report = run_exact(toy_wrapper(), BroadcastConfig(k=2, content_model="coding", seed=5))
     assert report.rounds_used >= 1 + 2
     assert all(report.per_receiver_decoded)
     assert all(receptions >= 2 for receptions in report.per_receiver_receptions)
@@ -138,7 +143,7 @@ def test_toy_coding_needs_k_independent_vectors():
 def test_coding_decodes_with_rank_exactly_k():
     net = build_radius2(sample_instance(InstanceParams(64, seed=2)), 64)
     for k in (1, 3):
-        report = run_broadcast(
+        report = run_exact(
             net, BroadcastConfig(k=k, content_model="coding", policy="greedy_schedule")
         )
         assert not report.incomplete
@@ -161,13 +166,20 @@ def test_completion_meets_reception_floor_and_accounting_bound():
             report = run_broadcast(net, cfg, maxrec=maxrec)
             assert not report.incomplete, (policy, model)
             assert min(report.per_receiver_receptions) >= 3
+            assert report.accounting_lower_bound == lower_bound_rounds(3, net.core.receiver_count, maxrec)
             assert report.rounds_used >= report.accounting_lower_bound
-            assert report.maxrec == maxrec
 
 
 #: sha256 of the reprs of the reports below, recorded before routing became
 #: unit vectors in one GF(2) basis per receiver; any change is a behaviour change.
 PINNED_REPORT_GRID_DIGEST = "db9ef0acff476f830b5b9b1ed62478816d237c75d777033254156c80af2d279b"
+
+
+def legacy_repr(report, maxrec):
+    """The report's repr as it was pinned, when the report still carried the
+    exact maxrec and its method; both now go only into the simulate artifact."""
+    head, series = repr(report).split(", series=")
+    return f"{head}, maxrec={maxrec}, maxrec_method='exact', series={series}"
 
 
 def test_report_grid_matches_pinned_digest():
@@ -186,13 +198,14 @@ def test_report_grid_matches_pinned_digest():
                 ("random_p", 0.03))
     reports = []
     for net in nets:
+        maxrec = max_receptions_exact(net.core).best_count
         for k in (0, 1, 3, 16):
             for policy, p in policies:
                 for model in ("routing", "coding"):
                     for cap in (2, 40, 400):
                         cfg = BroadcastConfig(k=k, content_model=model, policy=policy, p=p,
                                               max_rounds=cap, seed=11)
-                        reports.append(repr(run_broadcast(net, cfg)))
+                        reports.append(legacy_repr(run_broadcast(net, cfg, maxrec), maxrec))
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == PINNED_REPORT_GRID_DIGEST
 
@@ -200,11 +213,11 @@ def test_report_grid_matches_pinned_digest():
 def test_run_is_deterministic():
     net = build_radius2(sample_instance(InstanceParams(64, seed=3)), 64)
     cfg = BroadcastConfig(k=2, content_model="coding", policy="random_p", p=0.25, seed=21)
-    assert run_broadcast(net, cfg) == run_broadcast(net, cfg)
+    assert run_exact(net, cfg) == run_exact(net, cfg)
 
 
 def test_max_rounds_cap_marks_incomplete():
-    report = run_broadcast(toy_wrapper(), BroadcastConfig(k=4, max_rounds=3))
+    report = run_exact(toy_wrapper(), BroadcastConfig(k=4, max_rounds=3))
     assert report.incomplete
     assert report.rounds_used == 3
     assert not all(report.per_receiver_decoded)
@@ -212,7 +225,7 @@ def test_max_rounds_cap_marks_incomplete():
 
 def test_series_accounts_every_reception():
     net = build_radius2(sample_instance(InstanceParams(64, seed=4)), 64)
-    report = run_broadcast(net, BroadcastConfig(k=2, policy="greedy_schedule"))
+    report = run_exact(net, BroadcastConfig(k=2, policy="greedy_schedule"))
     assert sum(hits for _, hits, _ in report.series) == report.total_receptions
     ranks = [rank for _, _, rank in report.series]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))  # min rank never drops
@@ -223,9 +236,9 @@ def test_coding_never_loses_to_round_robin_routing_on_toys():
     # Random coded packets waste less than a blind message cycle; over many
     # seeds the mean coding run must not exceed the deterministic routing run.
     for k in (1, 2):
-        routing = run_broadcast(toy_wrapper(), BroadcastConfig(k=k)).rounds_used
+        routing = run_exact(toy_wrapper(), BroadcastConfig(k=k)).rounds_used
         coded = [
-            run_broadcast(
+            run_exact(
                 toy_wrapper(), BroadcastConfig(k=k, content_model="coding", seed=seed)
             ).rounds_used
             for seed in range(120)
@@ -251,7 +264,7 @@ def test_greedy_schedule_empty_when_satisfied():
     assert _best_transmit_mask(skewed_core(), 0) == 0
     # Once every receiver has decoded, the policy plays no further round.
     net = build_radius2(skewed_core(), 5)
-    report = run_broadcast(net, BroadcastConfig(k=1, policy="greedy_schedule"))
+    report = run_exact(net, BroadcastConfig(k=1, policy="greedy_schedule"))
     assert report.rounds_used == 2  # the source round and one greedy round
 
 
@@ -273,12 +286,12 @@ def test_greedy_schedule_rounds_bounded_by_exact_maximum():
         limit = max_receptions_exact(core).best_count
         for model in ("routing", "coding"):
             cfg = BroadcastConfig(k=4, content_model=model, policy="greedy_schedule", seed=seed)
-            report = run_broadcast(build_radius2(core, 64), cfg)
+            report = run_broadcast(build_radius2(core, 64), cfg, limit)
             assert all(hits <= limit for _, hits, _ in report.series)
 
 
 def test_greedy_schedule_serves_everyone():
     net = build_radius2(sample_instance(InstanceParams(64, seed=5)), 64)
-    report = run_broadcast(net, BroadcastConfig(k=1, policy="greedy_schedule"))
+    report = run_exact(net, BroadcastConfig(k=1, policy="greedy_schedule"))
     assert not report.incomplete
     assert all(report.per_receiver_decoded)

@@ -7,8 +7,12 @@ import sys
 import pytest
 
 import radionet
+from radionet import broadcast, cli
+from radionet.broadcast import MAX_K, MAX_K_RECEIVERS, lower_bound_rounds
 from radionet.cli import _write_csv, dispatch
-from radionet.model import load
+from radionet.instance import MAX_N, InstanceParams
+from radionet.model import MAX_RECEIVERS, MAX_SENDERS, load
+from radionet.verifier import MAX_RESTARTS
 
 
 def run_ok(argv):
@@ -427,6 +431,87 @@ def test_search_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
     digests = dict(simulate_six(tmp_path, 1024))
     assert json.loads((tmp_path / "round_robin-routing.json").read_text())["maxrec_method"] == "search"
     assert digests == PINNED_SEARCH_SIMULATE_DIGESTS
+
+
+@pytest.mark.parametrize("n, engine", [(256, "max_receptions_exact"), (1024, "max_receptions_search")])
+def test_simulate_runs_one_maximization_through_the_cli(tmp_path, monkeypatch, n, engine):
+    # Both modules' engine names are counted: the CLI picks the engine, exact
+    # up to 26 senders, and the simulator only uses the count it is given.
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((module.__name__, name, result))
+            return result
+
+        return wrapper
+
+    for module in (cli, broadcast):
+        for name in ("max_receptions_exact", "max_receptions_search"):
+            monkeypatch.setattr(module, name, counted(module, name))
+    net, out = tmp_path / "g.net", tmp_path / "sim.json"
+    run_ok(["gen", "--n", str(n), "--seed", "5", "--out", str(net), "--radius2"])
+    run_ok(["simulate", "--net", str(net), "--k", "4", "--seed", "3", "--out", str(out)])
+    assert [(module, name) for module, name, _ in calls] == [("radionet.cli", engine)]
+    best = calls[0][2]
+    artifact = json.loads(out.read_text())
+    assert (artifact["maxrec"], artifact["maxrec_method"]) == (best.best_count, best.method)
+    receivers = load(str(net)).core.receiver_count
+    assert artifact["accounting_lower_bound"] == lower_bound_rounds(4, receivers, best.best_count)
+
+
+def test_budgets_leave_room_for_the_documented_workflows():
+    # Every net gen can write loads, and the planned throughput sweep
+    # (n <= 16384, k <= 256) fits, with n = 65536 at the same k besides.
+    at_budget = InstanceParams(MAX_N)
+    assert at_budget.n_prime <= MAX_SENDERS and at_budget.receiver_count <= MAX_RECEIVERS
+    for n in (16384, 65536):
+        assert n <= MAX_N
+        assert 256 <= MAX_K and 256 * InstanceParams(n).receiver_count <= MAX_K_RECEIVERS
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a budget is checked before the maximization")
+
+
+#: One over-budget input per limit: (net file text or None, argv). The net
+#: is g.net; out is the output path, which must not be written.
+BUDGET_CASES = {
+    "gen-n": (None, ["gen", "--n", str(4**20), "--out", "{out}"]),
+    "net-senders": ("radionet v1 1000000000 0\n", ["verify", "--net", "{net}", "--search", "--out", "{out}"]),
+    "net-receivers": ("radionet v1 1 1000000000\n", ["verify", "--net", "{net}", "--search", "--out", "{out}"]),
+    "simulate-k": ("gen", ["simulate", "--net", "{net}", "--k", "1000000000", "--out", "{out}"]),
+    "simulate-k-receivers": (
+        f"radionet v1 1 {MAX_K_RECEIVERS // MAX_K + 1}\n"
+        + "0 0\n" * (MAX_K_RECEIVERS // MAX_K + 1)
+        + f"radius2 {MAX_K_RECEIVERS // MAX_K + 3} 0\n",
+        ["simulate", "--net", "{net}", "--k", str(MAX_K), "--out", "{out}"],
+    ),
+    # The net does not exist: exit 4, not 3, shows the flag is checked before the load.
+    "verify-restarts": ("", ["verify", "--net", "{net}", "--search", "--restarts", str(MAX_RESTARTS + 1),
+                             "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_budget_exceeded_exits_4_without_output(tmp_path, capsys, monkeypatch, case):
+    text, argv = BUDGET_CASES[case]
+    net, out = tmp_path / "g.net", tmp_path / "out"
+    if text == "gen":
+        run_ok(["gen", "--n", "256", "--seed", "1", "--out", str(net), "--radius2"])
+    elif text:
+        net.write_text(text)
+    capsys.readouterr()
+    for name in ("max_receptions_exact", "max_receptions_search"):
+        monkeypatch.setattr(cli, name, _refuse)
+    assert dispatch([arg.format(net=net, out=out) for arg in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["kind"] == "budget"
+    assert not out.exists()
 
 
 def test_module_entry_point_runs_the_cli():
