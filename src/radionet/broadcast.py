@@ -32,6 +32,9 @@ CONTENT_MODELS = ("routing", "coding")
 MAX_K = 1 << 10
 MAX_K_RECEIVERS = 1 << 20
 
+#: The largest `max_rounds` `simulate` takes: a run keeps one series row per round.
+MAX_ROUNDS = 1 << 20
+
 
 class GF2Basis:
     """Row basis over the binary field, vectors as bit masks.

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetError, InputError
-from .model import BipartiteRadioNet, Radius2Net, Receiver
-
-#: The largest node budget: n' = 1024 senders and 10 classes, 10240 receivers.
-MAX_N = 4**10
+from .model import MAX_N, BipartiteRadioNet, Radius2Net, Receiver
 
 
 @dataclass(frozen=True)

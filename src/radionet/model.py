@@ -41,8 +41,12 @@ from .errors import BudgetError, InputError
 #: First line of the on-disk network format.
 FORMAT_HEADER = "radionet v1"
 
+#: The node budget: the largest `gen --n` (n' = 1024 senders and 10 classes,
+#: 10240 receivers) and the largest total a `radius2` footer may declare.
+MAX_N = 4**10
+
 #: The largest sender and receiver counts a net file may declare; a net
-#: generated at the node budget (`instance.MAX_N`) has 1024 and 10240.
+#: generated at the node budget has 1024 and 10240.
 MAX_SENDERS = 1 << 11
 MAX_RECEIVERS = 1 << 14
 
@@ -291,7 +295,8 @@ def loads(text: str) -> RadioNet:
 
     Raises InputError on any structural violation: bad header or footer, a
     negative count or class index, or neighbor ids out of range, repeated or
-    unsorted. A header past MAX_SENDERS or MAX_RECEIVERS is a BudgetError.
+    unsorted. A header past MAX_SENDERS or MAX_RECEIVERS, or a footer total
+    past MAX_N, is a BudgetError.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -340,6 +345,8 @@ def loads(text: str) -> RadioNet:
         total_nodes, void_count = int(footer[1]), int(footer[2])
     except ValueError as exc:
         raise InputError(f"bad footer counts in {body[-1]!r}") from exc
+    if total_nodes > MAX_N:
+        raise BudgetError(f"footer {body[-1]!r} is past the node budget of {MAX_N}")
     wrapped = Radius2Net(net, void_count)
     if wrapped.total_nodes != total_nodes:
         raise InputError(

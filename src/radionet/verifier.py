@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -210,43 +209,6 @@ def max_receptions_search(
         witness=best_mask,
         method="search",
         subsets_examined=examined,
-    )
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Comparison of the achieved per-round maximum against a c*n' threshold."""
-
-    threshold: Fraction
-    fraction: Optional[float]  # best_count / receiver_count
-    fraction_bound: Optional[Fraction]  # threshold / receiver_count = c / class_count
-    passed: bool
-    vacuous: bool  # threshold >= receiver_count: nothing to certify at this scale
-
-
-def check_lemma_threshold(
-    net: BipartiteRadioNet, c: Union[int, str, Fraction], result: MaxReceptionResult
-) -> ThresholdReport:
-    """Judge whether `result`, a maximization on `net`, reaches more than c*n' receivers.
-
-    Passes when best_count <= c * sender_count (equality passes). When the
-    threshold is at or above the receiver count the check is flagged
-    vacuous: every net satisfies it trivially at that scale. The fraction
-    bound restates the threshold per receiver, threshold / receiver_count.
-    """
-    c = Fraction(c)
-    if c <= 0:
-        raise InputError("threshold factor c must be positive")
-    threshold = c * net.sender_count
-    receiver_count = net.receiver_count
-    fraction = result.best_count / receiver_count if receiver_count else None
-    fraction_bound = threshold / receiver_count if receiver_count else None
-    return ThresholdReport(
-        threshold=threshold,
-        fraction=fraction,
-        fraction_bound=fraction_bound,
-        passed=result.best_count <= threshold,
-        vacuous=threshold >= receiver_count,
     )
 
 

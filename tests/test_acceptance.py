@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance and time budget is pinned here, not configurable.
 """
 
+import json
 import math
 import random
 import time
@@ -22,9 +23,8 @@ from radionet.analytic import (
 from radionet.broadcast import BroadcastConfig, run_broadcast
 from radionet.cli import dispatch
 from radionet.instance import InstanceParams, build_radius2, sample_instance
-from radionet.model import radius
+from radionet.model import radius, save
 from radionet.verifier import (
-    check_lemma_threshold,
     max_receptions_exact,
     max_receptions_search,
     monte_carlo_expectation,
@@ -140,7 +140,7 @@ def test_criterion_05_tail_bounds():
     _report(5, ok, "n' = 1..64: tail <= exp(-3n') and union bound < exp(-2n')")
 
 
-def test_criterion_06_exhaustive_verification_n256():
+def test_criterion_06_exhaustive_verification_n256(tmp_path):
     net = sample_instance(InstanceParams(256, seed=N256_SEED))
     started = time.monotonic()
     exact = max_receptions_exact(net)
@@ -152,8 +152,16 @@ def test_criterion_06_exhaustive_verification_n256():
         for seed in range(100)
         if max_receptions_search(net, restarts=32, seed=seed).best_count == exact.best_count
     )
-    threshold = check_lemma_threshold(net, 20, result=exact)
-    threshold_ok = threshold.vacuous and threshold.threshold == 320 and net.receiver_count == 64
+    net_file, out = tmp_path / "h.net", tmp_path / "verify.json"
+    save(net, str(net_file))
+    argv = ["verify", "--net", str(net_file), "--exact", "--threshold", "20", "--out", str(out)]
+    verdict = json.loads(out.read_text()) if dispatch(argv) == 0 else {}
+    threshold_ok = (
+        verdict.get("vacuous") is True
+        and verdict["threshold"] == 320
+        and verdict["receiver_count"] == 64
+        and verdict["best_count"] == exact.best_count
+    )
     _report(
         6,
         enum_ok and matches >= 95 and threshold_ok,

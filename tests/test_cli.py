@@ -8,10 +8,10 @@ import pytest
 
 import radionet
 from radionet import broadcast, cli
-from radionet.broadcast import MAX_K, MAX_K_RECEIVERS, lower_bound_rounds
+from radionet.broadcast import MAX_K, MAX_K_RECEIVERS, MAX_ROUNDS, BroadcastConfig, lower_bound_rounds
 from radionet.cli import _write_csv, dispatch
-from radionet.instance import MAX_N, InstanceParams
-from radionet.model import MAX_RECEIVERS, MAX_SENDERS, load
+from radionet.instance import InstanceParams
+from radionet.model import MAX_N, MAX_RECEIVERS, MAX_SENDERS, load
 from radionet.verifier import MAX_RESTARTS
 
 
@@ -49,18 +49,46 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert dispatch(["no-such-command"]) == 2
 
 
-def test_verify_exact_json(tmp_path):
+#: Sender 0 alone reaches both receivers: the maximum is 2 at c*n' = 2c.
+TOY_NET = "radionet v1 2 2\n0 0\n1 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "net_spec, c, expected",
+    [
+        ((64, 5), "20", {"subsets_examined": 256, "threshold": 160.0, "passed": True, "vacuous": True}),
+        # Desk scale: 20 n' = 320 is past the 64 receivers, nothing to certify.
+        ((256, 7), "20", {"threshold": 320.0, "fraction_bound": 5.0, "passed": True, "vacuous": True}),
+        # Equality passes, and c*n' = 2 receivers is vacuous.
+        (TOY_NET, "1", {"best_count": 2, "threshold": 2.0, "fraction_bound": 1.0, "passed": True,
+                        "vacuous": True}),
+        (TOY_NET, "1/2", {"best_count": 2, "threshold": 1.0, "fraction": 1.0, "fraction_bound": 0.5,
+                          "passed": False, "vacuous": False}),
+        # c = R/n' = 24/8: no net reaches more than its receivers.
+        ((64, 0), "24/8", {"threshold": 24.0, "fraction_bound": 1.0, "passed": True, "vacuous": True}),
+        ((64, 9), "24/8", {"threshold": 24.0, "fraction_bound": 1.0, "passed": True, "vacuous": True}),
+        ("radionet v1 5 0\n", "2", {"best_count": 0, "threshold": 10.0, "fraction": None,
+                                    "fraction_bound": None, "passed": True, "vacuous": True}),
+    ],
+    ids=["n64-c20", "n256-c20-desk", "toy-c1-equality", "toy-c-half-fails", "n64-seed0-c-R-over-n",
+         "n64-seed9-c-R-over-n", "no-receivers"],
+)
+def test_verify_exact_json(tmp_path, net_spec, c, expected):
     net = tmp_path / "h.net"
     out = tmp_path / "v.json"
-    run_ok(["gen", "--n", "64", "--seed", "5", "--out", str(net)])
-    run_ok(["verify", "--net", str(net), "--exact", "--threshold", "20", "--out", str(out)])
+    if isinstance(net_spec, str):
+        net.write_text(net_spec)
+    else:
+        n, seed = net_spec
+        run_ok(["gen", "--n", str(n), "--seed", str(seed), "--out", str(net)])
+    run_ok(["verify", "--net", str(net), "--exact", "--threshold", c, "--out", str(out)])
     data = json.loads(out.read_text())
     assert data["schema_version"] == 1
     assert data["method"] == "exact"
-    assert data["subsets_examined"] == 256
-    assert data["vacuous"]  # threshold 20*8 = 160 >= 24 receivers
-    assert data["passed"]
-    assert int(data["witness_hex"], 16) < 256
+    assert int(data["witness_hex"], 16) < 1 << data["sender_count"]
+    if data["receiver_count"]:
+        assert data["fraction"] == data["best_count"] / data["receiver_count"]
+    assert {key: data[key] for key in expected} == expected
 
 
 def test_verify_search_mode(tmp_path):
@@ -471,6 +499,8 @@ def test_budgets_leave_room_for_the_documented_workflows():
     for n in (16384, 65536):
         assert n <= MAX_N
         assert 256 <= MAX_K and 256 * InstanceParams(n).receiver_count <= MAX_K_RECEIVERS
+    simulate = cli._build_parser().parse_args(["simulate", "--net", "g.net", "--k", "1"])
+    assert max(simulate.max_rounds, BroadcastConfig(k=1).max_rounds) <= MAX_ROUNDS
 
 
 def _refuse(*args, **kwargs):
@@ -490,6 +520,10 @@ BUDGET_CASES = {
         + f"radius2 {MAX_K_RECEIVERS // MAX_K + 3} 0\n",
         ["simulate", "--net", "{net}", "--k", str(MAX_K), "--out", "{out}"],
     ),
+    "simulate-max-rounds": ("gen", ["simulate", "--net", "{net}", "--k", "1", "--policy", "random_p", "--p", "1e-300",
+                                    "--max-rounds", str(MAX_ROUNDS + 1), "--out", "{out}"]),
+    "net-footer-total": (f"radionet v1 1 1\n0 0\nradius2 {4**20 + 3} {4**20}\n",
+                         ["simulate", "--net", "{net}", "--k", "1", "--out", "{out}"]),
     # The net does not exist: exit 4, not 3, shows the flag is checked before the load.
     "verify-restarts": ("", ["verify", "--net", "{net}", "--search", "--restarts", str(MAX_RESTARTS + 1),
                              "--out", "{out}"]),

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,7 +10,6 @@ from radionet.model import BipartiteRadioNet, Receiver, bit_mask, round_step
 from radionet.util import derive_rng
 from radionet.verifier import (
     ENUMERATION_BUDGET_BITS,
-    check_lemma_threshold,
     max_receptions_exact,
     max_receptions_search,
     monte_carlo_expectation,
@@ -129,44 +127,6 @@ def test_search_matches_pinned_digest():
                 reports.append(legacy_repr(net, result))
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == PINNED_SEARCH_DIGEST
-
-
-def test_threshold_vacuous_at_desk_scale():
-    net = sample_instance(InstanceParams(256, seed=7))
-    report = check_lemma_threshold(net, 20, max_receptions_exact(net))
-    assert report.threshold == 320
-    assert report.vacuous  # 320 >= 64 receivers: nothing to certify here
-    assert report.passed
-    assert report.fraction_bound == Fraction(5)  # 320 / 64
-
-
-def test_threshold_equality_passes():
-    result = max_receptions_exact(toy_net())
-    report = check_lemma_threshold(toy_net(), 1, result)
-    assert result.best_count == 2
-    assert report.threshold == 2
-    assert report.passed  # equality counts as passing
-    assert report.vacuous  # threshold 2 >= 2 receivers
-
-
-def test_threshold_failure_below_maximum():
-    report = check_lemma_threshold(
-        toy_net(), Fraction(1, 2), max_receptions_exact(toy_net())
-    )
-    assert report.threshold == 1
-    assert not report.passed
-
-
-def test_threshold_receiver_ratio_always_passes():
-    for seed in (0, 9):
-        net = sample_instance(InstanceParams(64, seed=seed))
-        c = Fraction(net.receiver_count, net.sender_count)
-        assert check_lemma_threshold(net, c, max_receptions_exact(net)).passed
-
-
-def test_threshold_rejects_nonpositive_factor():
-    with pytest.raises(InputError):
-        check_lemma_threshold(toy_net(), 0, max_receptions_exact(toy_net()))
 
 
 def test_monte_carlo_zero_transmitters():
