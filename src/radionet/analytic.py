@@ -12,7 +12,6 @@ inequality step between them can be certified numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -84,26 +83,16 @@ def expected_receivers(n_prime: int, s: int) -> Fraction:
     return n_prime * total
 
 
-def delta_star(n_prime: int, s: int) -> int:
-    """Split degree 2**floor(log2(n_prime/s)): the largest power of two <= n_prime/s."""
-    _check_counts(n_prime, s)
-    if s < 1:
-        raise InputError("s must be at least 1")
-    return 1 << ((n_prime // s).bit_length() - 1)
+def expected_receivers_upper(n_prime: int) -> float:
+    """Closed-form upper bound on expected_receivers(n_prime, s) for every s, below 10*n_prime.
 
-
-def expected_receivers_upper(n_prime: int, s: int) -> float:
-    """Closed-form upper bound on expected_receivers, always below 10*n_prime.
-
-    Splitting the per-class envelope sum at delta_star(n_prime, s) leaves a
-    geometric head (each term <= 2**-j) and a doubly-exponential tail (each
-    term <= 2**(j+1) * exp(-2**j)); summing both series in full dominates
-    every class term on either side of the split, for every s.
+    Splitting the per-class envelope sum at the largest power of two
+    <= n_prime/s leaves a geometric head (each term <= 2**-j) and a
+    doubly-exponential tail (each term <= 2**(j+1) * exp(-2**j)); summing
+    both series in full dominates every class term on either side of the
+    split, whatever s is, so the bound depends on n_prime alone.
     """
     _require_power_of_two(n_prime)
-    _check_counts(n_prime, s)
-    if s < 1:
-        raise InputError("s must be at least 1")
     head = 2.0  # sum_{j>=0} 2**-j
     tail = 0.0
     j = 0
@@ -144,34 +133,6 @@ def union_failure_bound(n_prime: int) -> float:
     return math.exp(log_value)
 
 
-@dataclass(frozen=True)
-class BoundChainReport:
-    """Values of each expression in the reception-probability bound chain.
-
-    `steps` lists (label, value) in chain order; `passed` means every value
-    is bounded by the next one, with the exact leading pair compared in
-    rational arithmetic and the float tail compared with upward slack.
-    """
-
-    n_prime: int
-    s: int
-    delta: int
-    delta_star: int
-    exact: Fraction
-    steps: tuple[tuple[str, float], ...]
-    passed: bool
-
-
-#: Labels of the bound chain's expressions, in chain order.
-_CHAIN_LABELS = (
-    "exact_hypergeometric",
-    "single_factor_power",
-    "exponential_form",
-    "factored_exponential",
-    "final_envelope",
-)
-
-
 def _chain_cell(
     n_prime: int, s: int, delta: int, comb_rest: int, comb_all: int, power_rest: int, power_all: int
 ) -> tuple[int, int, tuple[float, ...], bool]:
@@ -183,8 +144,10 @@ def _chain_cell(
     s*delta*power_rest/(n'*power_all). Those two are compared by
     cross-multiplying integers. Int/int true division is correctly rounded,
     so each float equals float() of the same rational. Returns p_delta in
-    lowest terms (numerator, denominator), the chain's values in the order
-    of _CHAIN_LABELS, and whether every value is bounded by the next.
+    lowest terms (numerator, denominator), the chain's five values in chain
+    order (exact hypergeometric, single-factor power, exponential form,
+    factored exponential, final envelope), and whether every value is
+    bounded by the next.
     """
     numerator = s * comb_rest
     common = math.gcd(numerator, comb_all)
@@ -212,7 +175,7 @@ def _chain_cell(
     return numerator, denominator, values, passed
 
 
-def certify_chain(n_prime: int, s: int, delta: int) -> BoundChainReport:
+def certify_chain(n_prime: int, s: int, delta: int) -> tuple[int, int, tuple[float, ...], bool]:
     """Evaluate the five-expression bound chain and check it is monotone.
 
     exact hypergeometric value
@@ -223,35 +186,29 @@ def certify_chain(n_prime: int, s: int, delta: int) -> BoundChainReport:
 
     The first two expressions are rational and compared exactly; the rest
     are floats compared with a relative-slack guard so equality points of
-    the chain cannot fail on rounding.
+    the chain cannot fail on rounding. Returns _chain_cell's
+    (numerator, denominator, values, passed) from fresh binomials and
+    powers, so it is the reference for chain_grid's recurrences.
     """
     _check_counts(n_prime, s)
     if s < 1:
         raise InputError("s must be at least 1")
     if not 1 <= delta <= n_prime - s + 1:
         raise InputError(f"delta={delta} outside [1, {n_prime - s + 1}]")
-    numerator, denominator, values, passed = _chain_cell(
+    return _chain_cell(
         n_prime, s, delta, comb(n_prime - s, delta - 1), comb(n_prime, delta),
         (n_prime - s) ** (delta - 1), (n_prime - 1) ** (delta - 1),
-    )
-    return BoundChainReport(
-        n_prime=n_prime,
-        s=s,
-        delta=delta,
-        delta_star=delta_star(n_prime, s),
-        exact=Fraction(numerator, denominator),
-        steps=tuple(zip(_CHAIN_LABELS, values)),
-        passed=passed,
     )
 
 
 def chain_grid(n_prime: int) -> Iterator[tuple[int, int, int, int, tuple[float, ...], bool]]:
     """Every cell of the bound chain for `n_prime` senders, s-major then delta.
 
-    Yields (s, delta, numerator, denominator, values, passed), the same
-    numbers certify_chain(n_prime, s, delta) reports, for 1 <= s <= n' and
-    1 <= delta <= n'-s+1. The kernel's binomials and powers come from
-    recurrences along delta rather than fresh products per cell.
+    Yields (s, delta, numerator, denominator, values, passed): (s, delta)
+    followed by the tuple certify_chain(n_prime, s, delta) returns, for
+    1 <= s <= n' and 1 <= delta <= n'-s+1. The kernel's binomials and
+    powers come from recurrences along delta rather than fresh products
+    per cell.
     """
     if n_prime < 1:
         raise InputError("n_prime must be a positive integer")

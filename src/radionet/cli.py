@@ -77,11 +77,25 @@ def _write_json(path, artifact: dict) -> None:
         sys.stdout.write(text)
 
 
-def _check_writable(path: str) -> None:
-    """Refuse an output path that `atomic_write_text` could not replace."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
-        raise InputError(f"cannot write {path}: it is a directory or its directory is missing or read-only")
+def _check_paths(inputs: Iterable[str], outputs: Iterable[Optional[str]]) -> None:
+    """Refuse, before any work, an output that cannot be written or would destroy another path.
+
+    Each output given (None is stdout) must be replaceable by
+    `atomic_write_text`, and must name neither an input nor another output:
+    the same real path, or the same file through a hard link.
+    """
+    written = [path for path in outputs if path]
+    for i, path in enumerate(written):
+        directory = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+            raise InputError(f"cannot write {path}: it is a directory or its directory is missing or read-only")
+        for other in [*inputs, *written[:i]]:
+            try:
+                same = os.path.samefile(path, other)
+            except OSError:  # one of the two does not exist yet
+                same = os.path.realpath(path) == os.path.realpath(other)
+            if same:
+                raise InputError(f"output {path} is the same file as {other}, which the command also uses")
 
 
 def _write_csv(path, config: dict, header: str, rows: Iterable[str]) -> None:
@@ -164,14 +178,13 @@ def _analyze_rows(sizes: list[int]) -> Iterator[str]:
     """Check the expectation cap at each size, then yield its bound-chain rows."""
     for n_prime in sizes:
         cap = 10 * n_prime
+        upper = expected_receivers_upper(n_prime)
         for s in range(0, n_prime + 1):
             mean = expected_receivers(n_prime, s)
             if not mean < cap:
                 raise ArithmeticError(f"expected receivers {mean} >= {cap} at ({n_prime},{s})")
-            if s >= 1:
-                upper = expected_receivers_upper(n_prime, s)
-                if not mean <= upper:
-                    raise ArithmeticError(f"exact {mean} above envelope {upper} at ({n_prime},{s})")
+            if not mean <= upper:
+                raise ArithmeticError(f"exact {mean} above envelope {upper} at ({n_prime},{s})")
         for s, delta, numerator, denominator, values, passed in chain_grid(n_prime):
             yield (
                 f"{n_prime},{s},{delta},{numerator},{denominator},{values[-1]!r},"
@@ -198,6 +211,7 @@ def _parse_threshold(raw: Optional[str]) -> Optional[Fraction]:
 
 def _cmd_verify(args) -> None:
     # Flags are checked in both modes, before the maximization, which can be long.
+    _check_paths([args.net], [args.out])
     threshold = _parse_threshold(args.threshold)
     if not 0 <= args.seed < 2**64:
         raise InputError(f"seed must be a 64-bit unsigned integer, got {args.seed}")
@@ -261,6 +275,8 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    # Both outputs are checked now: the artifact is written before the series.
+    _check_paths([args.net], [args.out, args.series])
     net = load_net(args.net)
     if not isinstance(net, Radius2Net):
         raise InputError("simulate needs a radius-2 network file (gen --radius2)")
@@ -283,8 +299,6 @@ def _cmd_simulate(args) -> None:
         )
     if args.max_rounds > MAX_ROUNDS:
         raise BudgetError(f"max_rounds {args.max_rounds} is past the budget of {MAX_ROUNDS}")
-    if args.series:  # checked now: the artifact is written before the series
-        _check_writable(args.series)
     # The one maximization of the run: exact within the enumeration budget.
     if core.sender_count <= ENUMERATION_BUDGET_BITS:
         best = max_receptions_exact(core)
@@ -339,6 +353,7 @@ _REPORT_TYPES = {"n": (int,), "seed": (int,), "k": (int,), "rounds_used": (int,)
 
 
 def _cmd_report(args) -> None:
+    _check_paths(args.inputs, [args.out])
     rows = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as handle:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import random
-import tempfile
 from typing import Iterable, Union
 
 from .errors import InputError
@@ -37,10 +36,14 @@ def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:
     never observe a partially written artifact, and two concurrent writers
     leave one complete file rather than an interleaving. If writing or
     producing a chunk raises, the temp file is removed and `path` is left
-    as it was.
+    as it was. The file gets the mode that `open(path, "w")` gives a new
+    file: 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-radionet-")
+    tmp = os.path.join(directory, f".tmp-radionet-{os.urandom(8).hex()}")
+    # Mode 0o666 lets the kernel apply the umask; tempfile.mkstemp's 0o600
+    # would survive the rename. O_EXCL never opens an existing file or link.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             if isinstance(text, str):

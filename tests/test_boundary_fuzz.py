@@ -4,9 +4,10 @@ Every case runs `dispatch` in a fresh directory holding a radius-2 net, a
 flat net and two simulate artifacts, some of them mutated. Whatever the
 input, the exit code is 0, 2, 3 or 4; exits 3 and 4 print exactly one JSON
 error line; and a non-zero exit leaves the directory as it was. On exit 0
-three oracles check that the tool did not accept a wrong input silently: a
+four oracles check that the tool did not accept a wrong input silently: a
 net it read means what its file says, every seed it records is a 64-bit
-unsigned integer, and every `report` row has its seven well-typed cells.
+unsigned integer, every `report` row has its seven well-typed cells, and
+every file it read keeps its bytes while each output holds its own kind.
 
 The cases run in one child process, this file run as a script, under an
 address-space limit and a per-case alarm: a defect that allocates without
@@ -170,6 +171,24 @@ def _net_tokens(text):
     return [[field(t) for t in line.split()] for line in text.splitlines() if line.strip()]
 
 
+def _flag_value(argv, flag):
+    """The value of `flag`'s last occurrence, the one argparse keeps, or None."""
+    positions = [i for i, token in enumerate(argv[:-1]) if token == flag]
+    return argv[positions[-1] + 1] if positions else None
+
+
+def _read_paths(argv):
+    """The files `argv` reads: its `--net`, or `report`'s inputs."""
+    if argv[0] == "report":
+        return [token for previous, token in zip(argv, argv[1:]) if previous != "--out" and not token.startswith("-")]
+    return [_flag_value(argv, "--net")] if "--net" in argv else []
+
+
+#: How each output of a command starts: (command, flag) -> prefix.
+OUTPUT_KINDS = {("gen", "--out"): "radionet v1", ("analyze", "--out"): "# radionet", ("verify", "--out"): "{",
+                ("simulate", "--out"): "{", ("simulate", "--series"): "# radionet", ("report", "--out"): "# radionet"}
+
+
 def _check_accepted(argv, before, after, stdout):
     """The oracles of an exit 0: nothing wrong was accepted silently."""
     if argv[0] in ("verify", "simulate"):
@@ -192,6 +211,12 @@ def _check_accepted(argv, before, after, stdout):
             assert all(re.fullmatch(r"-?\d+", cell) for cell in (n, seed, k, rounds)), row
             assert policy in POLICIES and re.fullmatch(r"(-?\d+)?", bound), row
             assert re.fullmatch(f"({number})?", throughput), row
+    for name in _read_paths(argv):
+        assert after.get(name) == before.get(name), f"input {name} was overwritten"
+    for (command, flag), prefix in OUTPUT_KINDS.items():
+        path = _flag_value(argv, flag) if command == argv[0] else None
+        if path:
+            assert after[path].decode().startswith(prefix), f"{flag} {path} holds another output"
 
 
 def run_case(argv, files):
@@ -273,6 +298,11 @@ def cases(draw):
 # The artifact was written before the series write failed.
 @example((["simulate", "--net", "g.net", "--k", "1", "--max-rounds", "64", "--out", "out",
            "--series", "no/such/dir/out"], {}))
+# An output named an input or the other output, and replaced it.
+@example((["verify", "--net", "g.net", "--out", "g.net"], {}))
+@example((["simulate", "--net", "g.net", "--k", "1", "--max-rounds", "64", "--out", "g.net"], {}))
+@example((["simulate", "--net", "g.net", "--k", "1", "--max-rounds", "64", "--out", "out", "--series", "out"], {}))
+@example((["report", "a.json", "--out", "a.json"], {}))
 def boundary_case(case):
     run_case(*case)
 

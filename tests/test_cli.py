@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -244,6 +245,51 @@ def test_simulate_series_csv(tmp_path):
     assert lines[1] == "round,receptions,min_rank"
     first_round = lines[2].split(",")
     assert first_round[0] == "1"
+
+
+#: Command lines whose output names an input or the command's other output.
+#: Each once exited 0 and destroyed a file.
+OVERWRITE_CASES = {
+    "verify-out-net": ["verify", "--net", "h.net", "--out", "h.net"],
+    "verify-out-net-spelled-apart": ["verify", "--net", "h.net", "--out", "sub/../h.net"],
+    "simulate-out-net": ["simulate", "--net", "h.net", "--k", "1", "--out", "./h.net"],
+    "simulate-out-series": ["simulate", "--net", "h.net", "--k", "1", "--out", "s.json", "--series", "s.json"],
+    "simulate-series-net": ["simulate", "--net", "h.net", "--k", "1", "--series", "h.net"],
+    "report-out-input": ["report", "s.json", "--out", "s.json"],
+    "report-out-hard-link": ["report", "s.json", "--out", "link.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITE_CASES))
+def test_output_naming_another_path_exits_3_untouched(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    run_ok(["gen", "--n", "64", "--seed", "5", "--out", "h.net", "--radius2"])
+    run_ok(["simulate", "--net", "h.net", "--k", "1", "--out", "s.json"])
+    os.link("s.json", "link.json")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    capsys.readouterr()
+    assert dispatch(OVERWRITE_CASES[case]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["kind"] == "input"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, umask, mode):
+    net, verified, chains = (str(tmp_path / name) for name in ("h.net", "v.json", "chains.csv"))
+    previous = os.umask(umask)
+    try:
+        run_ok(["gen", "--n", "64", "--seed", "5", "--out", net])
+        run_ok(["verify", "--net", net, "--out", verified])
+        run_ok(["analyze", "--grid-nprime", "2..4", "--out", chains])
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"h.net": mode, "v.json": mode, "chains.csv": mode, "plain": mode}
 
 
 def test_simulate_needs_radius2_net(tmp_path):

@@ -1,6 +1,8 @@
-"""The README's documented CLI workflow runs as written."""
+"""The README's documented CLI workflow runs as written, and its package map names what exists."""
 
+import contextlib
 import importlib
+import io
 import re
 import shlex
 from pathlib import Path
@@ -46,3 +48,28 @@ def test_readme_exit_codes_name_every_budget():
     constants = {(module, name): value for module, name, value in budget_constants()}
     assert len(constants) >= 9
     assert {key: written.get(key) for key in constants} == constants
+
+
+def package_map_rows():
+    """(module name, backticked identifiers) of each row of the `## Package map` table."""
+    section = README.read_text(encoding="utf-8").split("\n## Package map\n", 1)[1].split("\n## ", 1)[0]
+    for module, contents in re.findall(r"^\| `(\w+)` +\| (.*) \|$", section, re.M):
+        yield module, re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", contents)
+
+
+def is_subcommand(name):
+    """Whether `radionet NAME --help` is a subcommand's help, not a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return dispatch([name, "--help"]) == 0
+
+
+def test_package_map_names_what_exists():
+    rows = list(package_map_rows())
+    assert {module for module, _ in rows} == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "errors"}
+    missing = []
+    for module, names in rows:
+        for name in names:
+            prefix, _, attribute = name.rpartition(".")
+            if not hasattr(importlib.import_module(f"radionet.{prefix or module}"), attribute) and not is_subcommand(name):
+                missing.append(f"{module}: {name}")
+    assert missing == []
