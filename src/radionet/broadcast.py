@@ -194,12 +194,15 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     rank_counts = [receiver_count] + [0] * k  # receivers at each rank
     min_rank = 0
     message_cursor = [0] * n_senders  # per-sender cycle position (routing)
+    climbed_for, greedy_mask = -1, 0  # the waiting set of the last greedy climb, and its mask
 
     while waiting and rounds < cfg.max_rounds:
         if cfg.policy == "round_robin":
             mask = 1 << ((rounds - k) % n_senders)
         elif cfg.policy == "greedy_schedule":
-            mask = _best_transmit_mask(core, waiting)
+            if waiting != climbed_for:  # the climb depends on `waiting` alone
+                climbed_for, greedy_mask = waiting, _best_transmit_mask(core, waiting)
+            mask = greedy_mask
             if mask == 0:
                 break  # nobody reachable can still be helped
         else:  # random_p

@@ -43,10 +43,6 @@ class InstanceParams:
         """Number of receiver classes, log2(n)/2."""
         return (self.n.bit_length() - 1) // 2
 
-    @property
-    def receiver_count(self) -> int:
-        return self.n_prime * self.class_count
-
 
 def _receiver_masks(
     gen: random.Random, seed: int, first: int, count: int, sender_count: int, degree: int

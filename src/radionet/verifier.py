@@ -10,7 +10,8 @@ Beyond the enumeration budget a steepest-ascent hill climb with restarts
 gives a reproducible lower bound on the true maximum. Both report a witness
 transmit set, tie-broken to the smallest bit mask so results do not depend
 on the enumeration order; the enumeration lays out each block of counts so
-that its flat index ascends with the mask.
+that its flat index ascends with the mask. numpy is imported inside the
+enumeration's three functions only, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import BudgetError, InputError
 # sample_instance and round_step stay module attributes here: the
@@ -76,6 +75,8 @@ def max_receptions_exact(net: BipartiteRadioNet) -> MaxReceptionResult:
             f"{n_prime} senders means 2^{n_prime} subsets, past the 2^"
             f"{ENUMERATION_BUDGET_BITS} enumeration budget; use max_receptions_search"
         )
+    import numpy as np
+
     low_bits = n_prime // 2
     receivers_of = _receiver_words(net)
     zero_low, one_low = _half_tables(receivers_of[:low_bits])
@@ -106,6 +107,8 @@ def _receiver_words(net: BipartiteRadioNet) -> np.ndarray:
 
     Senders x ceil(R / 64); the bits past the last receiver are 0.
     """
+    import numpy as np
+
     size = 8 * -(-net.receiver_count // 64)
     packed = b"".join(m.to_bytes(size, "little") for m in net.reach_masks)
     return np.frombuffer(packed, dtype="<u8").reshape(net.sender_count, size // 8)
@@ -123,6 +126,8 @@ def _half_tables(receivers_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `zero` starts with every bit set; bits past the last receiver never
     reach `one`, so they are never counted.
     """
+    import numpy as np
+
     senders, words = receivers_of.shape
     zero = np.empty((words, 1 << senders), dtype=np.uint64)
     one = np.empty_like(zero)

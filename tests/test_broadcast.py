@@ -1,9 +1,11 @@
 import hashlib
 import math
 import statistics
+from unittest import mock
 
 import pytest
 
+from radionet import broadcast
 from radionet.broadcast import (
     BroadcastConfig,
     GF2Basis,
@@ -288,6 +290,27 @@ def test_greedy_schedule_rounds_bounded_by_exact_maximum():
             cfg = BroadcastConfig(k=4, content_model=model, policy="greedy_schedule", seed=seed)
             report = run_broadcast(build_radius2(core, 64), cfg, limit)
             assert all(hits <= limit for _, hits, _ in report.series)
+
+
+@pytest.mark.parametrize("model", ["routing", "coding"])
+def test_greedy_climbs_once_per_waiting_set(model):
+    # The greedy mask depends on the waiting receivers alone, so a run climbs
+    # again only in a round whose waiting set differs from the last round's.
+    net = build_radius2(sample_instance(InstanceParams(64, seed=5)), 64)
+    k = 3
+
+    def run(max_rounds):
+        cfg = BroadcastConfig(k=k, content_model=model, policy="greedy_schedule",
+                              max_rounds=max_rounds, seed=7)
+        return run_broadcast(net, cfg, 1)
+
+    with mock.patch.object(broadcast, "_best_transmit_mask", wraps=_best_transmit_mask) as climbs:
+        report = run(100_000)
+    assert not report.incomplete
+    # A greedy round after t rounds serves the receivers a run capped at t rounds leaves undecoded.
+    waiting = [run(t).per_receiver_decoded for t in range(k, report.rounds_used)]
+    changes = sum(1 for before, now in zip([None, *waiting], waiting) if now != before)
+    assert climbs.call_count == changes < len(waiting)
 
 
 def test_greedy_schedule_serves_everyone():

@@ -541,10 +541,11 @@ def test_budgets_leave_room_for_the_documented_workflows():
     # Every net gen can write loads, and the planned throughput sweep
     # (n <= 16384, k <= 256) fits, with n = 65536 at the same k besides.
     at_budget = InstanceParams(MAX_N)
-    assert at_budget.n_prime <= MAX_SENDERS and at_budget.receiver_count <= MAX_RECEIVERS
+    assert at_budget.n_prime <= MAX_SENDERS and at_budget.n_prime * at_budget.class_count <= MAX_RECEIVERS
     for n in (16384, 65536):
         assert n <= MAX_N
-        assert 256 <= MAX_K and 256 * InstanceParams(n).receiver_count <= MAX_K_RECEIVERS
+        params = InstanceParams(n)
+        assert 256 <= MAX_K and 256 * params.n_prime * params.class_count <= MAX_K_RECEIVERS
     simulate = cli._build_parser().parse_args(["simulate", "--net", "g.net", "--k", "1"])
     assert max(simulate.max_rounds, BroadcastConfig(k=1).max_rounds) <= MAX_ROUNDS
 

@@ -22,7 +22,7 @@ def test_params_derive_structure():
     params = InstanceParams(256)
     assert params.n_prime == 16
     assert params.class_count == 4
-    assert params.receiver_count == 64
+    assert params.n_prime * params.class_count == 64  # receivers
     assert InstanceParams(4).n_prime == 2
     assert InstanceParams(4096).class_count == 6
 
@@ -163,7 +163,7 @@ def test_receiver_draws_match_randrange(n, seed):
     params = InstanceParams(n, seed)
     n_prime = params.n_prime
     drawn = list(receiver_draws(params))
-    assert len(drawn) == params.receiver_count
+    assert len(drawn) == n_prime * params.class_count
     for i, (class_index, mask) in enumerate(drawn):
         assert class_index == 1 + i // n_prime
         assert mask == bit_mask(randrange_neighbors(seed, i, n_prime, 1 << class_index))

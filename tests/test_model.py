@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -111,6 +112,17 @@ def test_radius_disconnected_reports_infinity():
     assert math.isinf(radius(broken))
 
 
+def test_radius_never_builds_adjacency():
+    # radius runs on the core's bit sets; the node-level lists stay unbuilt.
+    for net in (
+        build_radius2(sample_instance(InstanceParams(64, seed=5)), 64),
+        Radius2Net(BipartiteRadioNet(4, ()), 2),
+        Radius2Net(BipartiteRadioNet(2, (Receiver(0, 0),)), 1),
+    ):
+        radius(net)
+        assert "adjacency" not in vars(net)
+
+
 def test_validate_generated_instance_is_clean(instance_problems):
     for seed in (0, 1, 99):
         assert instance_problems(sample_instance(InstanceParams(64, seed=seed))) == []
@@ -174,15 +186,27 @@ def test_loads_rejects_malformed_input():
         loads("radionet v1 2 1\n0 0\nradius2 99 1\n")  # inconsistent footer
 
 
-def test_core_modules_do_not_load_numpy():
+def test_core_modules_do_not_load_numpy(tmp_path):
     # numpy is the exhaustive enumeration's private encoding: the model, the
-    # generator and the analytic chain run on Python ints and fractions.
-    code = "import sys, radionet.model, radionet.instance, radionet.analytic; print('numpy' in sys.modules)"
+    # generator and the analytic chain run on Python ints and fractions, and
+    # so does every command that runs no enumeration.
+    artifact = {"schema_version": 1, "n": 64, "seed": 0, "policy": "round_robin", "k": 1,
+                "rounds_used": 3, "accounting_lower_bound": 2, "throughput": 1 / 3}
+    (tmp_path / "s.json").write_text(json.dumps(artifact))
+    code = "\n".join([
+        "import sys, radionet.model, radionet.instance, radionet.analytic, radionet.cli",
+        "runs = [['gen', '--n', '64', '--radius2', '--out', 'g.net'],",
+        "        ['analyze', '--grid-nprime', '2..8', '--out', 'a.csv'],",
+        "        ['verify', '--net', 'g.net', '--search', '--out', 'v.json'],",
+        "        ['report', 's.json', '--out', 'r.csv']]",
+        "codes = [radionet.cli.dispatch(argv) for argv in runs]",
+        "print(codes, 'numpy' in sys.modules)",
+    ])
     src = str(Path(radionet.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"

@@ -20,10 +20,12 @@ from radionet.broadcast import (
     run_broadcast,
 )
 from radionet import broadcast, verifier
+from radionet.instance import InstanceParams, build_radius2, sample_instance
 from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
     Receiver,
+    _depth,
     bit_mask,
     bit_members,
     dumps,
@@ -294,10 +296,10 @@ def test_source_round_reaches_every_sender_and_no_receiver(core, voids):
     assert whole_net_round(nbrs, {net.SOURCE}) == dict.fromkeys(hearers, net.SOURCE)
 
 
-def brute_force_radius(net):
-    """Minimum over every node of its eccentricity, by plain BFS; inf if disconnected."""
+def brute_force_eccentricities(net):
+    """Every node's eccentricity, by plain BFS over the layout; inf where a node is unreached."""
     nbrs = layout_neighbors(net)
-    best = math.inf
+    eccentricities = []
     for start in nbrs:
         dist = {start: 0}
         frontier = [start]
@@ -309,20 +311,44 @@ def brute_force_radius(net):
                         dist[v] = dist[u] + 1
                         layer.append(v)
             frontier = layer
-        if len(dist) < len(nbrs):
-            return math.inf
-        best = min(best, max(dist.values()))
-    return best
+        eccentricities.append(max(dist.values()) if len(dist) == len(nbrs) else math.inf)
+    return eccentricities
+
+
+def brute_force_radius(net):
+    """Minimum over every node of its eccentricity; inf if disconnected."""
+    return min(brute_force_eccentricities(net))
+
+
+def radius_examples(test):
+    """Wrappers at the edges of the degree floor and of connectivity, and generated ones."""
+    test = example(BipartiteRadioNet(3, ()), 2)(test)  # the source is adjacent to every node
+    test = example(BipartiteRadioNet(1, (Receiver(0, 0b1), Receiver(0, 0b1))), 0)(test)  # so is sender 0
+    test = example(BipartiteRadioNet(1, (Receiver(0, 0b1),)), 2)(test)  # not with voids: they are its last layer
+    test = example(BipartiteRadioNet(2, (Receiver(0, 0),)), 1)(test)  # an isolated receiver
+    for n in (16, 64, 256):  # padded to n nodes as `gen --radius2` pads them
+        core = sample_instance(InstanceParams(n, seed=n))
+        test = example(core, build_radius2(core, n).void_count)(test)
+    return test
 
 
 @settings(max_examples=100, deadline=None)
 @given(cores(max_senders=6, max_receivers=8), st.integers(0, 3))
-@example(BipartiteRadioNet(3, ()), 2)  # the source is adjacent to every node
-@example(BipartiteRadioNet(1, (Receiver(0, 0b1), Receiver(0, 0b1))), 0)  # so is sender 0
-@example(BipartiteRadioNet(2, (Receiver(0, 0),)), 1)  # an isolated receiver
+@radius_examples
 def test_radius_equals_minimum_eccentricity(core, voids):
     net = Radius2Net(core, voids)
-    assert radius(net) == brute_force_radius(net)
+    with mock.patch("radionet.model._depth", wraps=_depth) as searches:
+        assert radius(net) == brute_force_radius(net)
+    assert searches.call_count <= 2  # the degree floor stops the searches
+
+
+@settings(max_examples=100, deadline=None)
+@given(cores(max_senders=6, max_receivers=8), st.integers(0, 3))
+@radius_examples
+def test_layered_search_gives_every_eccentricity(core, voids):
+    # radius searches from the source and sender 0 only; every other start is checked here.
+    net = Radius2Net(core, voids)
+    assert [_depth(net, node) for node in range(net.total_nodes)] == brute_force_eccentricities(net)
 
 
 @settings(max_examples=100, deadline=None)
