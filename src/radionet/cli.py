@@ -10,6 +10,7 @@ error, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -116,6 +117,7 @@ def _write_csv(path, config: dict, header: str, rows: Iterable[str]) -> None:
 
 
 def _cmd_gen(args) -> None:
+    _check_paths([], [args.out])
     params = InstanceParams(args.n, args.seed)
     core = sample_instance(params)
     net = build_radius2(core, args.n) if args.radius2 else core
@@ -159,6 +161,7 @@ def _parse_grid(spec: str) -> tuple[int, int]:
 
 
 def _cmd_analyze(args) -> None:
+    _check_paths([], [args.out])
     lo, hi = _parse_grid(args.grid_nprime)
     sizes = []
     power = 1
@@ -395,6 +398,9 @@ def _cmd_report(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Built once per process: a parser is a web of reference cycles, about 54 KB
+# that only the cyclic garbage collector would free after each dispatch.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radionet",

@@ -10,10 +10,11 @@ side and class-structured receivers on the other, with adjacency stored
 receiver-side only (the sender-side reach masks are derived on demand and
 cached). `Radius2Net` wraps a bipartite core with a single source node
 attached to every sender plus optional degree-1 void nodes, giving a
-connected network of radius 2. Rounds run on the core only: senders
-transmit and receivers listen. The source alone reaches every sender and
-no receiver, so a broadcast plays the source's rounds without evaluating
-them.
+connected network of radius 2; `radius` works the radius out from that
+shape and never builds the node-level `adjacency`. Rounds run on the core
+only: senders transmit and receivers listen. The source alone reaches
+every sender and no receiver, so a broadcast plays the source's rounds
+without evaluating them.
 
 The rule has two forms on Python int bit sets, and every exactly-one test
 in the package uses one of them:
@@ -138,8 +139,8 @@ class Radius2Net:
     no other edges. Node ids are laid out source, senders, receivers, voids.
     `adjacency` lists every node's neighbors in that layout: it is the
     reference layout the tests and the benchmark's oracle check against.
-    `radius` runs on the core's bit sets and never builds it. Rounds are
-    evaluated on `core`.
+    `radius` works the radius out from the shape and never builds it.
+    Rounds are evaluated on `core`.
     """
 
     core: BipartiteRadioNet
@@ -233,76 +234,23 @@ def round_step(net: BipartiteRadioNet, mask: int) -> tuple[int, tuple[tuple[int,
 
 
 def radius(net: Radius2Net) -> Union[int, float]:
-    """Graph radius: minimum over nodes of eccentricity, by layered search on bit sets.
+    """Graph radius, the minimum over nodes of eccentricity, from the wrapper's shape.
 
-    Returns math.inf when the graph is disconnected (infinite eccentricity
-    as the error value). The search stops once an eccentricity meets the
-    degree floor: 1 if some node is adjacent to all others, else 2. The
-    source is iff there are no receivers, a sender iff it is the only
-    sender, reaches every receiver and there are no voids, and a receiver
-    or a void never is. On a connected wrapper the source, node 0, meets
-    the floor, or else sender 0 (node 1) is the one node adjacent to all
-    others: at most two searches run. Reads the core's bit sets, never
-    `adjacency`.
+    The source is adjacent to every sender and every void, a receiver only
+    to its senders. So the wrapper is connected iff every receiver has a
+    sender; otherwise the result is math.inf, the infinite eccentricity of
+    every node. The source then reaches every sender and void in one step
+    and every receiver in two: its eccentricity is 1 without receivers,
+    else 2. A node of eccentricity 1 is adjacent to all others. A receiver
+    or a void never is; a sender is only when it is the one sender and there
+    are no voids, since it then reaches every receiver. The radius is
+    therefore 1 in those two cases and 2 otherwise. Reads the receivers'
+    neighbor masks only, never `adjacency` or `reach_masks`.
     """
     core = net.core
-    everyone = (1 << core.receiver_count) - 1
-    universal_sender = core.sender_count == 1 and not net.void_count and core.reach_masks[0] == everyone
-    floor = 1 if not everyone or universal_sender else 2
-    best: Union[int, float] = math.inf
-    for start in range(net.total_nodes):
-        ecc = _depth(net, start)
-        if ecc == math.inf:
-            return math.inf
-        if ecc < best:
-            best = ecc
-            if best <= floor:  # no node can do better
-                break
-    return int(best)
-
-
-def _depth(net: Radius2Net, start: int) -> Union[int, float]:
-    """The eccentricity of node `start` by breadth-first layers; inf if a node is unreached.
-
-    A layer is the source as a flag, a sender bit set, a receiver bit set
-    and a count of voids. The source reaches every sender and every void, a
-    sender the source and its receivers (its reach mask), a receiver its
-    senders (its neighbor mask) and a void the source. Every sender and
-    receiver is expanded at most once, so a search costs O(n' + R) big-int
-    operations. It stops once every node is seen.
-    """
-    core = net.core
-    n_senders, eta, void_count = core.sender_count, net.eta, net.void_count
-    reach, rows = core.reach_masks, core.receivers
-    all_senders, all_receivers = (1 << n_senders) - 1, (1 << core.receiver_count) - 1
-    source = start == net.SOURCE
-    senders = 1 << (start - 1) if 0 < start <= n_senders else 0
-    receivers = 1 << (start - 1 - n_senders) if n_senders < start <= eta else 0
-    voids = 1 if start > eta else 0
-    seen_source, seen_senders, seen_receivers, seen_voids = source, senders, receivers, voids
-    depth = 0
-    while not (seen_source and seen_senders == all_senders and seen_receivers == all_receivers
-               and seen_voids == void_count):
-        next_senders = all_senders if source else 0
-        for r in bit_members(receivers):
-            next_senders |= rows[r].neighbors
-        next_receivers = 0
-        for u in bit_members(senders):
-            next_receivers |= reach[u]
-        source, senders, receivers, voids = (
-            not seen_source and bool(senders or voids),
-            next_senders & ~seen_senders,
-            next_receivers & ~seen_receivers,
-            void_count - seen_voids if source else 0,
-        )
-        if not (source or senders or receivers or voids):
-            return math.inf
-        seen_source = seen_source or source
-        seen_senders |= senders
-        seen_receivers |= receivers
-        seen_voids += voids
-        depth += 1
-    return depth
+    if not all(receiver.neighbors for receiver in core.receivers):
+        return math.inf
+    return 1 if not core.receivers or (core.sender_count == 1 and not net.void_count) else 2
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,35 @@ def test_criterion_07_monte_carlo_expectation_over_graphs():
     _report(7, ok, "; ".join(details))
 
 
+def _radius_is_two_by_bfs(net) -> bool:
+    """An O(n) certificate over `adjacency`, independent of `radius`.
+
+    A BFS from the source reaches every node with a largest distance of 2,
+    so the radius is at most 2; no node has n-1 neighbours, so no node has
+    eccentricity 1.
+    """
+    adjacency = net.adjacency
+    dist = {net.SOURCE: 0}
+    frontier = [net.SOURCE]
+    while frontier:
+        layer = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    layer.append(v)
+        frontier = layer
+    universal = max(len(neighbours) for neighbours in adjacency) == len(adjacency) - 1
+    return len(dist) == len(adjacency) and max(dist.values()) == 2 and not universal
+
+
 def test_criterion_08_radius_always_two():
     sizes = (64, 256, 1024)
     ok = True
     for trial in range(100):
         n = sizes[trial % len(sizes)]
-        core = sample_instance(InstanceParams(n, seed=trial))
-        if radius(build_radius2(core, n)) != 2:
+        net = build_radius2(sample_instance(InstanceParams(n, seed=trial)), n)
+        if not _radius_is_two_by_bfs(net) or radius(net) != 2:
             ok = False
     _report(8, ok, "100 random wrappers over n in {64, 256, 1024} all have radius 2 by BFS")
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -274,6 +275,27 @@ def test_output_naming_another_path_exits_3_untouched(tmp_path, capsys, monkeypa
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["kind"] == "input"
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["gen", "--n", "64", "--out", "adir"], "sample_instance"),
+     (["analyze", "--grid-nprime", "2..16", "--out", "adir"], "chain_grid")],
+    ids=["gen", "analyze"],
+)
+def test_directory_output_exits_3_before_any_work(tmp_path, capsys, monkeypatch, argv, work):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    assert dispatch(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"].startswith("cannot write")
+    assert not list(tmp_path.rglob(".tmp-radionet-*"))
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
@@ -593,6 +615,20 @@ def test_budget_exceeded_exits_4_without_output(tmp_path, capsys, monkeypatch, c
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["kind"] == "budget"
     assert not out.exists()
+
+
+def test_dispatch_leaves_no_cyclic_garbage(tmp_path):
+    # A parser is a web of reference cycles: built anew for every dispatch, it
+    # stayed in memory until the cyclic collector next ran.
+    out = str(tmp_path / "r.csv")
+    run_ok(["report", "--out", out])
+    gc.collect()
+    gc.disable()
+    try:
+        run_ok(["report", "--out", out])
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 def test_module_entry_point_runs_the_cli():

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -113,7 +114,7 @@ def test_radius_disconnected_reports_infinity():
 
 
 def test_radius_never_builds_adjacency():
-    # radius runs on the core's bit sets; the node-level lists stay unbuilt.
+    # radius works from the wrapper's shape: neither the node-level lists nor the reach masks get built.
     for net in (
         build_radius2(sample_instance(InstanceParams(64, seed=5)), 64),
         Radius2Net(BipartiteRadioNet(4, ()), 2),
@@ -121,6 +122,7 @@ def test_radius_never_builds_adjacency():
     ):
         radius(net)
         assert "adjacency" not in vars(net)
+        assert "reach_masks" not in vars(net.core)
 
 
 def test_validate_generated_instance_is_clean(instance_problems):
@@ -210,3 +212,19 @@ def test_core_modules_do_not_load_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # A module-level `_name` function that nothing else in the package names is dead code.
+    helpers, used = set(), set()
+    for path in sorted(Path(radionet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in tree.body:
+            own = owner.name if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own and own.startswith("_"):
+                helpers.add(own)
+            for node in ast.walk(owner):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name and name != own:
+                    used.add(name)
+    assert sorted(helpers - used) == []

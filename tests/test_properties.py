@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -25,7 +25,6 @@ from radionet.model import (
     BipartiteRadioNet,
     Radius2Net,
     Receiver,
-    _depth,
     bit_mask,
     bit_members,
     dumps,
@@ -296,8 +295,8 @@ def test_source_round_reaches_every_sender_and_no_receiver(core, voids):
     assert whole_net_round(nbrs, {net.SOURCE}) == dict.fromkeys(hearers, net.SOURCE)
 
 
-def brute_force_eccentricities(net):
-    """Every node's eccentricity, by plain BFS over the layout; inf where a node is unreached."""
+def brute_force_radius(net):
+    """Minimum over every node of its eccentricity, by plain BFS over the layout; inf if disconnected."""
     nbrs = layout_neighbors(net)
     eccentricities = []
     for start in nbrs:
@@ -312,19 +311,14 @@ def brute_force_eccentricities(net):
                         layer.append(v)
             frontier = layer
         eccentricities.append(max(dist.values()) if len(dist) == len(nbrs) else math.inf)
-    return eccentricities
-
-
-def brute_force_radius(net):
-    """Minimum over every node of its eccentricity; inf if disconnected."""
-    return min(brute_force_eccentricities(net))
+    return min(eccentricities)
 
 
 def radius_examples(test):
-    """Wrappers at the edges of the degree floor and of connectivity, and generated ones."""
+    """Wrappers at the edges of radius 1 and of connectivity, and generated ones."""
     test = example(BipartiteRadioNet(3, ()), 2)(test)  # the source is adjacent to every node
     test = example(BipartiteRadioNet(1, (Receiver(0, 0b1), Receiver(0, 0b1))), 0)(test)  # so is sender 0
-    test = example(BipartiteRadioNet(1, (Receiver(0, 0b1),)), 2)(test)  # not with voids: they are its last layer
+    test = example(BipartiteRadioNet(1, (Receiver(0, 0b1),)), 2)(test)  # not with voids: it is not adjacent to them
     test = example(BipartiteRadioNet(2, (Receiver(0, 0),)), 1)(test)  # an isolated receiver
     for n in (16, 64, 256):  # padded to n nodes as `gen --radius2` pads them
         core = sample_instance(InstanceParams(n, seed=n))
@@ -337,18 +331,21 @@ def radius_examples(test):
 @radius_examples
 def test_radius_equals_minimum_eccentricity(core, voids):
     net = Radius2Net(core, voids)
-    with mock.patch("radionet.model._depth", wraps=_depth) as searches:
-        assert radius(net) == brute_force_radius(net)
-    assert searches.call_count <= 2  # the degree floor stops the searches
+    assert radius(net) == brute_force_radius(net)
 
 
-@settings(max_examples=100, deadline=None)
-@given(cores(max_senders=6, max_receivers=8), st.integers(0, 3))
-@radius_examples
-def test_layered_search_gives_every_eccentricity(core, voids):
-    # radius searches from the source and sender 0 only; every other start is checked here.
-    net = Radius2Net(core, voids)
-    assert [_depth(net, node) for node in range(net.total_nodes)] == brute_force_eccentricities(net)
+def test_radius_equals_minimum_eccentricity_on_every_small_wrapper():
+    # 1-3 senders, 0-3 receivers with any neighbor masks, 0-2 voids: 2055 wrappers.
+    count = 0
+    for senders in range(1, 4):
+        for receivers in range(4):
+            for masks in product(range(1 << senders), repeat=receivers):
+                core = BipartiteRadioNet(senders, tuple(Receiver(0, m) for m in masks))
+                for voids in range(3):
+                    net = Radius2Net(core, voids)
+                    assert radius(net) == brute_force_radius(net), (senders, masks, voids)
+                    count += 1
+    assert count == 2055
 
 
 @settings(max_examples=100, deadline=None)
