@@ -618,8 +618,8 @@ def test_budget_exceeded_exits_4_without_output(tmp_path, capsys, monkeypatch, c
 
 
 def test_dispatch_leaves_no_cyclic_garbage(tmp_path):
-    # A parser is a web of reference cycles: built anew for every dispatch, it
-    # stayed in memory until the cyclic collector next ran.
+    # A parser is a web of reference cycles: one built per dispatch would stay
+    # in memory until the cyclic collector next ran.
     out = str(tmp_path / "r.csv")
     run_ok(["report", "--out", out])
     gc.collect()
