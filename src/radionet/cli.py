@@ -377,9 +377,12 @@ def _cmd_report(args) -> None:
         except KeyError as exc:
             raise InputError(f"{path} is not a simulate artifact: missing {exc}") from exc
         for field, kinds in _REPORT_TYPES.items():
-            if type(data[field]) not in kinds:  # a bool is no int; a bad cell breaks the row or the sort
+            value = data[field]
+            if type(value) not in kinds:  # a bool is no int; a bad cell breaks the row or the sort
                 names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-                raise InputError(f"{path} is not a simulate artifact: {field} {data[field]!r} is not {names}")
+                raise InputError(f"{path} is not a simulate artifact: {field} {value!r} is not {names}")
+            if type(value) is float and not math.isfinite(value):  # json reads NaN, Infinity and 1e400
+                raise InputError(f"{path} is not a simulate artifact: {field} {value!r} is not finite")
         if key[2] not in POLICIES:
             raise InputError(f"{path} is not a simulate artifact: policy {key[2]!r} is not one of {POLICIES}")
         rendered = ",".join("" if cell is None else str(cell) for cell in cells)

@@ -11,10 +11,10 @@ receiver-side only (the sender-side reach masks are derived on demand and
 cached). `Radius2Net` wraps a bipartite core with a single source node
 attached to every sender plus optional degree-1 void nodes, giving a
 connected network of radius 2; `radius` works the radius out from that
-shape and never builds the node-level `adjacency`. Rounds run on the core
-only: senders transmit and receivers listen. The source alone reaches
-every sender and no receiver, so a broadcast plays the source's rounds
-without evaluating them.
+shape, and only the benchmark's oracle reads the node-level `adjacency`.
+Rounds run on the core only: senders transmit and receivers listen. The
+source alone reaches every sender and no receiver, so a broadcast plays
+the source's rounds without evaluating them.
 
 The rule has two forms on Python int bit sets, and every exactly-one test
 in the package uses one of them:
@@ -136,11 +136,8 @@ class Radius2Net:
     """Bipartite core plus one source node and `void_count` filler nodes.
 
     The source is adjacent to every sender and every void node; voids have
-    no other edges. Node ids are laid out source, senders, receivers, voids.
-    `adjacency` lists every node's neighbors in that layout: it is the
-    reference layout the tests and the benchmark's oracle check against.
-    `radius` works the radius out from the shape and never builds it.
-    Rounds are evaluated on `core`.
+    no other edges. The package works from that shape: `radius` reads it
+    and rounds are evaluated on `core`. Only `adjacency` numbers the nodes.
     """
 
     core: BipartiteRadioNet
@@ -159,35 +156,23 @@ class Radius2Net:
     def total_nodes(self) -> int:
         return 1 + self.eta + self.void_count
 
-    # Node id layout.
-    SOURCE = 0
-
-    def sender_node(self, sender_index: int) -> int:
-        return 1 + sender_index
-
-    def receiver_node(self, receiver_index: int) -> int:
-        return 1 + self.core.sender_count + receiver_index
-
-    def void_node(self, void_index: int) -> int:
-        return 1 + self.eta + void_index
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Undirected neighbor lists over the node-id layout."""
-        core = self.core
-        adj: list[list[int]] = [[] for _ in range(self.total_nodes)]
-        for j in range(core.sender_count):
-            adj[self.SOURCE].append(self.sender_node(j))
-            adj[self.sender_node(j)].append(self.SOURCE)
-        for i, receiver in enumerate(core.receivers):
-            node = self.receiver_node(i)
-            for u in bit_members(receiver.neighbors):
-                adj[node].append(self.sender_node(u))
-                adj[self.sender_node(u)].append(node)
-        for t in range(self.void_count):
-            adj[self.SOURCE].append(self.void_node(t))
-            adj[self.void_node(t)].append(self.SOURCE)
-        return tuple(tuple(sorted(l)) for l in adj)
+        """Undirected neighbor lists: node 0 the source, then senders, receivers, voids.
+
+        Each list is ascending. Nothing in the package reads it: it is the
+        reference layout the benchmark's oracle checks `radius` against.
+        """
+        senders = self.core.sender_count
+        sender_lists = [[0] for _ in range(senders)]
+        receiver_lists = []
+        for node, receiver in enumerate(self.core.receivers, start=1 + senders):
+            neighbors = tuple(1 + u for u in bit_members(receiver.neighbors))
+            receiver_lists.append(neighbors)
+            for v in neighbors:
+                sender_lists[v - 1].append(node)
+        source = (*range(1, 1 + senders), *range(1 + self.eta, self.total_nodes))
+        return (source, *map(tuple, sender_lists), *receiver_lists, *((0,),) * self.void_count)
 
 
 RadioNet = Union[BipartiteRadioNet, Radius2Net]

@@ -30,6 +30,8 @@ from radionet.verifier import (
     monte_carlo_expectation,
 )
 
+from layout import SOURCE, layout_neighbors
+
 N256_SEED = 2026  # fixed n=256 instance used by criteria 6 and 9
 
 
@@ -186,25 +188,25 @@ def test_criterion_07_monte_carlo_expectation_over_graphs():
 
 
 def _radius_is_two_by_bfs(net) -> bool:
-    """An O(n) certificate over `adjacency`, independent of `radius`.
+    """An O(n) certificate over the test-local layout, independent of `radius`.
 
     A BFS from the source reaches every node with a largest distance of 2,
     so the radius is at most 2; no node has n-1 neighbours, so no node has
     eccentricity 1.
     """
-    adjacency = net.adjacency
-    dist = {net.SOURCE: 0}
-    frontier = [net.SOURCE]
+    nbrs = layout_neighbors(net)
+    dist = {SOURCE: 0}
+    frontier = [SOURCE]
     while frontier:
         layer = []
         for u in frontier:
-            for v in adjacency[u]:
+            for v in nbrs[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     layer.append(v)
         frontier = layer
-    universal = max(len(neighbours) for neighbours in adjacency) == len(adjacency) - 1
-    return len(dist) == len(adjacency) and max(dist.values()) == 2 and not universal
+    universal = max(len(neighbours) for neighbours in nbrs.values()) == len(nbrs) - 1
+    return len(dist) == len(nbrs) and max(dist.values()) == 2 and not universal
 
 
 def test_criterion_08_radius_always_two():

@@ -205,7 +205,7 @@ def _check_accepted(argv, before, after, stdout):
     if argv[0] == "report":
         path = argv[argv.index("--out") + 1] if "--out" in argv else None
         rows = (after[path].decode() if path else stdout).splitlines()[2:]
-        number = r"-?\d+(\.\d+)?(e[-+]?\d+)?|inf|nan"
+        number = r"-?\d+(\.\d+)?(e[-+]?\d+)?"  # finite: no inf or nan
         for row in rows:
             n, seed, policy, k, rounds, bound, throughput = row.split(",")  # exactly seven cells
             assert all(re.fullmatch(r"-?\d+", cell) for cell in (n, seed, k, rounds)), row
@@ -287,6 +287,7 @@ def cases(draw):
 @example((["verify", "--net", "g.net"], {"g.net": "radionet v1 2 1\n1 0 1\nradius2 x 0\n"}))  # a bad footer
 @example((["report", "a.json", "--out", "out"], {"a.json": '{"schema_version": 1, '}))  # bad JSON
 @example((["report", "a.json", "--out", "out"], {"a.json": json.dumps({**ARTIFACT, "rounds_used": "9,9"})}))
+@example((["report", "a.json", "--out", "out"], {"a.json": json.dumps({**ARTIFACT, "throughput": float("nan")})}))
 @example((["verify", "--net", "g.net", "--threshold", "1e308", "--out", "out"], {}))  # c*n' past a float
 @example((["verify", "--net", "g.net", "--search", "--seed", str(2**64), "--out", "out"], {}))
 @example((["simulate", "--net", "g.net", "--k", "1000000000", "--out", "out"], {}))

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -125,6 +126,21 @@ def test_radius_never_builds_adjacency():
         assert "reach_masks" not in vars(net.core)
 
 
+#: sha256 of the reprs of `adjacency` on the wrappers below, recorded while
+#: the package still numbered nodes through per-kind helpers. The benchmark's
+#: oracle reads this layout, so any change to it is a behaviour change.
+PINNED_LAYOUT_DIGEST = "6f9d5340ccfe457b2e0a04c45f32335dfa3a0edb9c2ec0286fc7805c09433856"
+
+
+def test_adjacency_matches_pinned_layout_digest():
+    layouts = [
+        repr(build_radius2(sample_instance(InstanceParams(n, seed)), n).adjacency)
+        for n in (16, 64, 256, 1024, 4096)
+        for seed in (0, 1, 7)
+    ]
+    assert hashlib.sha256("\n".join(layouts).encode()).hexdigest() == PINNED_LAYOUT_DIGEST
+
+
 def test_validate_generated_instance_is_clean(instance_problems):
     for seed in (0, 1, 99):
         assert instance_problems(sample_instance(InstanceParams(64, seed=seed))) == []
@@ -214,17 +230,69 @@ def test_core_modules_do_not_load_numpy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
+#: Public names that nothing outside the tests reads, with the reason each stays.
+UNREAD_PUBLIC_NAMES = {
+    "chernoff_tail": "criterion 5 checks it; the certified family cap is to wire it in",
+    "union_failure_bound": "criterion 5 checks it; the certified family cap is to wire it in",
+    "p_delta_upper": "the certified family cap is to wire it in or replace it",
+}
+
+
+def _parsed(directory):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))]
+
+
+def _definitions(tree):
+    """The module-level functions and classes of `tree`, and the methods and properties of its classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for owner in tree.body:
+        if isinstance(owner, (*functions, ast.ClassDef)):
+            yield owner
+        if isinstance(owner, ast.ClassDef):
+            yield from (member for member in owner.body if isinstance(member, functions))
+
+
+def _names_read(tree):
+    """Every name `tree` reads, outside a def of that name.
+
+    A name is read as an identifier, an attribute, an import or a string:
+    the benchmark's tracer wraps functions by their names as strings.
+    """
+    names = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name and name not in enclosing:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return names
+
+
 def test_every_private_helper_is_used_in_the_package():
     # A module-level `_name` function that nothing else in the package names is dead code.
-    helpers, used = set(), set()
-    for path in sorted(Path(radionet.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for owner in tree.body:
-            own = owner.name if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if own and own.startswith("_"):
-                helpers.add(own)
-            for node in ast.walk(owner):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name and name != own:
-                    used.add(name)
-    assert sorted(helpers - used) == []
+    package = _parsed(Path(radionet.__file__).parent)
+    helpers = {
+        owner.name for tree in package for owner in tree.body
+        if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner.name.startswith("_")
+    }
+    assert sorted(helpers - set().union(*map(_names_read, package))) == []
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # Public API that only the tests read is dead code too. The benchmark
+    # counts as a reader: its tracer wraps functions and its oracles call them.
+    package = _parsed(Path(radionet.__file__).parent)
+    benchmark = _parsed(Path(__file__).parents[1] / "perfbench")
+    assert benchmark, "the benchmark's sources are missing"
+    public = {d.name for tree in package for d in _definitions(tree) if not d.name.startswith("_")}
+    unread = public - set().union(*map(_names_read, package + benchmark))
+    assert sorted(unread) == sorted(UNREAD_PUBLIC_NAMES)

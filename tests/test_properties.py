@@ -36,6 +36,8 @@ from radionet.model import (
 from radionet.util import derive_rng
 from radionet.verifier import climb, max_receptions_exact, max_receptions_search
 
+from layout import SOURCE, layout_neighbors, receiver_node, sender_node, void_node
+
 
 @st.composite
 def cores(draw, max_senders=12, min_receivers=0, max_receivers=10, min_degree=0):
@@ -124,25 +126,6 @@ def test_exact_matches_brute_force_past_one_word(chunk_bits, receivers, senders,
     with mock.patch.object(verifier, "CHUNK_BITS", chunk_bits):
         result = max_receptions_exact(net)
     assert (result.best_count, result.witness) == brute_force_maximum(net)
-
-
-def layout_neighbors(net):
-    """Neighbors of every node of a radius-2 net, rebuilt from its definition."""
-    core = net.core
-    nbrs = {node: set() for node in range(net.total_nodes)}
-
-    def link(a, b):
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-
-    for j in range(core.sender_count):
-        link(net.SOURCE, net.sender_node(j))
-    for t in range(net.void_count):
-        link(net.SOURCE, net.void_node(t))
-    for i, receiver in enumerate(core.receivers):
-        for u in bit_members(receiver.neighbors):
-            link(net.receiver_node(i), net.sender_node(u))
-    return nbrs
 
 
 def whole_net_round(nbrs, transmitting):
@@ -273,14 +256,14 @@ def test_core_round_equals_radius2_round(core, voids, data):
     net = Radius2Net(core, voids)
     members = data.draw(st.sets(st.integers(0, core.sender_count - 1)))
     on_core_heard, on_core_listeners = round_step(core, bit_mask(members))
-    whole = whole_net_round(layout_neighbors(net), {net.sender_node(u) for u in members})
-    whole.pop(net.SOURCE, None)  # it hears a lone sender, but it holds every message
+    whole = whole_net_round(layout_neighbors(net), {sender_node(u) for u in members})
+    whole.pop(SOURCE, None)  # it hears a lone sender, but it holds every message
     assert whole == {
-        net.receiver_node(r): net.sender_node(u)
+        receiver_node(net, r): sender_node(u)
         for u, bits in on_core_listeners
         for r in bit_members(bits)
     }
-    assert on_core_heard == bit_mask(node - net.receiver_node(0) for node in whole)
+    assert on_core_heard == bit_mask(node - receiver_node(net, 0) for node in whole)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,10 +272,10 @@ def test_source_round_reaches_every_sender_and_no_receiver(core, voids):
     # The source phase plays no round; this is the claim that lets it skip one.
     net = Radius2Net(core, voids)
     nbrs = layout_neighbors(net)
-    assert {node: set(adjacent) for node, adjacent in enumerate(net.adjacency)} == nbrs
-    hearers = [net.sender_node(u) for u in range(core.sender_count)]
-    hearers += [net.void_node(t) for t in range(voids)]
-    assert whole_net_round(nbrs, {net.SOURCE}) == dict.fromkeys(hearers, net.SOURCE)
+    assert net.adjacency == tuple(tuple(sorted(nbrs[node])) for node in range(len(nbrs)))  # the oracle's copy
+    hearers = [sender_node(u) for u in range(core.sender_count)]
+    hearers += [void_node(net, t) for t in range(voids)]
+    assert whole_net_round(nbrs, {SOURCE}) == dict.fromkeys(hearers, SOURCE)
 
 
 def brute_force_radius(net):
