@@ -163,16 +163,16 @@ class Radius2Net:
         Each list is ascending. Nothing in the package reads it: it is the
         reference layout the benchmark's oracle checks `radius` against.
         """
-        senders = self.core.sender_count
-        sender_lists = [[0] for _ in range(senders)]
-        receiver_lists = []
-        for node, receiver in enumerate(self.core.receivers, start=1 + senders):
-            neighbors = tuple(1 + u for u in bit_members(receiver.neighbors))
-            receiver_lists.append(neighbors)
-            for v in neighbors:
-                sender_lists[v - 1].append(node)
-        source = (*range(1, 1 + senders), *range(1 + self.eta, self.total_nodes))
-        return (source, *map(tuple, sender_lists), *receiver_lists, *((0,),) * self.void_count)
+        first_sender, first_receiver, first_void = 1, 1 + self.core.sender_count, 1 + self.eta
+        lists = [[*range(first_sender, first_receiver), *range(first_void, self.total_nodes)]]
+        lists += [[0] for _ in range(self.core.sender_count)]
+        for r, receiver in enumerate(self.core.receivers):
+            senders = [first_sender + u for u in bit_members(receiver.neighbors)]
+            lists.append(senders)
+            for node in senders:
+                lists[node].append(first_receiver + r)
+        lists += [[0] for _ in range(self.void_count)]
+        return tuple(map(tuple, lists))
 
 
 RadioNet = Union[BipartiteRadioNet, Radius2Net]

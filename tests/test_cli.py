@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import json
-import math
 import os
 import stat
 import subprocess
@@ -375,19 +374,28 @@ def test_report_rejects_foreign_artifact(tmp_path):
      ("rounds_used", True), ("rounds_used", 9.0), ("rounds_used", None),
      ("accounting_lower_bound", [4, 5]), ("accounting_lower_bound", False),
      ("accounting_lower_bound", 4.5), ("throughput", True), ("throughput", 1),
-     ("throughput", "0.25"), ("throughput", math.nan), ("throughput", -math.inf),
-     ("throughput", math.inf)],
+     ("throughput", "0.25")],
 )
 def test_report_rejects_key_of_wrong_type(tmp_path, capsys, field, value):
     # Keys of mixed types cannot be sorted and other cells would break the row:
     # the bad input is refused, not a traceback or a row of the wrong width.
-    # A throughput that is not finite is no simulate value either.
+    _assert_report_refuses(tmp_path, capsys, field, json.dumps(value))
+
+
+@pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_report_rejects_throughput_that_is_not_finite(tmp_path, capsys, cell):
+    # Python's json reads all four (1e400 as inf), and none is a simulate value.
+    _assert_report_refuses(tmp_path, capsys, "throughput", cell)
+
+
+def _assert_report_refuses(tmp_path, capsys, field, cell):
+    """`report` of a good artifact and one whose `field` holds the JSON text `cell` exits 3 and writes nothing."""
     artifact = {"schema_version": 1, "n": 16, "seed": 3, "policy": "round_robin", "k": 2,
                 "rounds_used": 9, "accounting_lower_bound": 4, "throughput": 0.25}
     good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "m.csv"
     good.write_text(json.dumps(artifact))
-    text = json.dumps({**artifact, field: value})
-    bad.write_text(text.replace("Infinity", "1e400") if value == math.inf else text)  # past the largest float
+    items = (f"{json.dumps(key)}: {cell if key == field else json.dumps(value)}" for key, value in artifact.items())
+    bad.write_text("{" + ", ".join(items) + "}")
     assert dispatch(["report", str(good), str(bad), "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "input"
