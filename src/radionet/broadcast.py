@@ -14,12 +14,11 @@ one reception accounts for exactly one message unit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, bit_members, round_step
+from .model import BipartiteRadioNet, Radius2Net, bit_mask, bit_members, round_step
 from .util import derive_rng
 # The two engines are imported only for the benchmark's tracer (perfbench/spans.py).
 from .verifier import climb, max_receptions_exact, max_receptions_search
@@ -109,25 +108,24 @@ class BroadcastReport:
     per_receiver_decoded: tuple[bool, ...]
     total_receptions: int
     throughput: Optional[float]
-    accounting_lower_bound: Union[int, float]
+    accounting_lower_bound: int
     series: tuple[tuple[int, int, int], ...]
 
 
-def lower_bound_rounds(k: int, receiver_count: int, maxrec: int) -> Union[int, float]:
+def lower_bound_rounds(k: int, receiver_count: int, maxrec: int) -> int:
     """Counting bound ceil(k * receiver_count / maxrec) on broadcast rounds.
 
     Every receiver needs at least k receptions and at most maxrec receiver
-    receptions happen per round. maxrec == 0 with work to do means no round
-    can ever deliver anything: returns math.inf as the unbounded flag.
+    receptions happen per round; maxrec 0 with work to do is an InputError.
     """
     if k < 0 or receiver_count < 0:
         raise InputError("k and receiver_count must be nonnegative")
     if maxrec < 0:
         raise InputError("maxrec must be nonnegative")
     demand = k * receiver_count
-    if maxrec == 0:
-        return 0 if demand == 0 else math.inf
-    return -(-demand // maxrec)
+    if maxrec == 0 and demand:
+        raise InputError(f"maxrec 0 cannot serve {demand} receptions: no round reaches a receiver")
+    return -(-demand // maxrec) if demand else 0
 
 
 def _best_transmit_mask(net: BipartiteRadioNet, waiting: int) -> int:
@@ -136,7 +134,8 @@ def _best_transmit_mask(net: BipartiteRadioNet, waiting: int) -> int:
     `waiting` is a receiver bit set. Climbs from the empty set over the
     senders' reach masks cut down to the waiting receivers, so the result
     is deterministic. Every flip gains at least one reception, so
-    receiver_count flips always suffice.
+    receiver_count flips always suffice. Any sender of a waiting receiver
+    gains one over the empty set: the mask is empty only if nobody waits.
     """
     mask, _, _, _ = climb([m & waiting for m in net.reach_masks], 0, net.receiver_count)
     return mask
@@ -174,8 +173,8 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     round's receptions are added into bit-plane counters, read out once at
     the end. The minimum decoded dimension is kept incrementally, since
     ranks never fall. Deterministic given (net, cfg). `maxrec`, the most
-    receivers one round can serve, enters only the counting bound; the
-    caller computes it.
+    receivers one round can serve (at least 1 if there are receivers: each
+    has a sender), enters only the counting bound; the caller computes it.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
@@ -203,11 +202,9 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
             if waiting != climbed_for:  # the climb depends on `waiting` alone
                 climbed_for, greedy_mask = waiting, _best_transmit_mask(core, waiting)
             mask = greedy_mask
-            if mask == 0:
-                break  # nobody reachable can still be helped
         else:  # random_p
             rng = derive_rng(cfg.seed, rounds + 1)
-            mask = sum(1 << u for u in range(n_senders) if rng.random() < cfg.p)
+            mask = bit_mask(u for u in range(n_senders) if rng.random() < cfg.p)
         rounds += 1
         hits = 0
         if mask:  # an empty random_p round still costs time

@@ -32,10 +32,9 @@ in the package uses one of them:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import BudgetError, InputError
 
@@ -136,8 +135,9 @@ class Radius2Net:
     """Bipartite core plus one source node and `void_count` filler nodes.
 
     The source is adjacent to every sender and every void node; voids have
-    no other edges. The package works from that shape: `radius` reads it
-    and rounds are evaluated on `core`. Only `adjacency` numbers the nodes.
+    no other edges, and a receiver without a sender is an InputError. The
+    package works from that shape: `radius` reads it and rounds are
+    evaluated on `core`. Only `adjacency` numbers the nodes.
     """
 
     core: BipartiteRadioNet
@@ -146,6 +146,9 @@ class Radius2Net:
     def __post_init__(self):
         if self.void_count < 0:
             raise InputError("void_count must be nonnegative")
+        for i, receiver in enumerate(self.core.receivers):
+            if not receiver.neighbors:
+                raise InputError(f"malformed net: receiver {i} has no sender neighbour; no broadcast reaches it")
 
     @property
     def eta(self) -> int:
@@ -175,7 +178,7 @@ class Radius2Net:
         return tuple(map(tuple, lists))
 
 
-RadioNet = Union[BipartiteRadioNet, Radius2Net]
+RadioNet = BipartiteRadioNet | Radius2Net
 
 
 def fold(reach: Sequence[int], members: Iterable[int]) -> tuple[int, int, int]:
@@ -218,24 +221,17 @@ def round_step(net: BipartiteRadioNet, mask: int) -> tuple[int, tuple[tuple[int,
     return heard, tuple((u, bits) for u in members if (bits := reach[u] & heard))
 
 
-def radius(net: Radius2Net) -> Union[int, float]:
+def radius(net: Radius2Net) -> int:
     """Graph radius, the minimum over nodes of eccentricity, from the wrapper's shape.
 
-    The source is adjacent to every sender and every void, a receiver only
-    to its senders. So the wrapper is connected iff every receiver has a
-    sender; otherwise the result is math.inf, the infinite eccentricity of
-    every node. The source then reaches every sender and void in one step
-    and every receiver in two: its eccentricity is 1 without receivers,
-    else 2. A node of eccentricity 1 is adjacent to all others. A receiver
-    or a void never is; a sender is only when it is the one sender and there
-    are no voids, since it then reaches every receiver. The radius is
-    therefore 1 in those two cases and 2 otherwise. Reads the receivers'
-    neighbor masks only, never `adjacency` or `reach_masks`.
+    The source is adjacent to every sender and void, and every receiver to
+    a sender: its eccentricity is 1 without receivers, else 2. A node of
+    eccentricity 1 is adjacent to all others. A receiver or a void never
+    is; a sender is only when it is the one sender and there are no voids.
+    So the radius is 1 in those two cases and 2 otherwise. Reads no
+    neighbor mask, `adjacency` or `reach_masks`.
     """
-    core = net.core
-    if not all(receiver.neighbors for receiver in core.receivers):
-        return math.inf
-    return 1 if not core.receivers or (core.sender_count == 1 and not net.void_count) else 2
+    return 1 if not net.core.receivers or (net.core.sender_count == 1 and not net.void_count) else 2
 
 
 # ---------------------------------------------------------------------------

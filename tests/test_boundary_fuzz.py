@@ -209,7 +209,7 @@ def _check_accepted(argv, before, after, stdout):
         for row in rows:
             n, seed, policy, k, rounds, bound, throughput = row.split(",")  # exactly seven cells
             assert all(re.fullmatch(r"-?\d+", cell) for cell in (n, seed, k, rounds)), row
-            assert policy in POLICIES and re.fullmatch(r"(-?\d+)?", bound), row
+            assert policy in POLICIES and re.fullmatch(r"-?\d+", bound), row
             assert re.fullmatch(f"({number})?", throughput), row
     for name in _read_paths(argv):
         assert after.get(name) == before.get(name), f"input {name} was overwritten"

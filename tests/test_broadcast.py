@@ -85,9 +85,12 @@ def test_lower_bound_examples():
     assert lower_bound_rounds(3, 5, 4) == 4  # ceil(15/4)
 
 
-def test_lower_bound_unbounded_flag():
-    assert math.isinf(lower_bound_rounds(1, 4, 0))
+def test_lower_bound_refuses_maxrec_zero_with_demand():
+    # No radius-2 net has maxrec 0 and receivers: each receiver has a sender.
+    with pytest.raises(InputError, match="maxrec 0 cannot serve 4 receptions"):
+        lower_bound_rounds(1, 4, 0)
     assert lower_bound_rounds(0, 4, 0) == 0
+    assert lower_bound_rounds(3, 0, 0) == 0
     with pytest.raises(InputError):
         lower_bound_rounds(-1, 4, 2)
 
@@ -172,9 +175,9 @@ def test_completion_meets_reception_floor_and_accounting_bound():
             assert report.rounds_used >= report.accounting_lower_bound
 
 
-#: sha256 of the reprs of the reports below, recorded before routing became
-#: unit vectors in one GF(2) basis per receiver; any change is a behaviour change.
-PINNED_REPORT_GRID_DIGEST = "db9ef0acff476f830b5b9b1ed62478816d237c75d777033254156c80af2d279b"
+#: sha256 of the reprs of the 192 reports below, recorded before `Radius2Net`
+#: refused a receiver without a sender; any change is a behaviour change.
+PINNED_REPORT_GRID_DIGEST = "4df84f5c432d93fb4863d044417698cc2f5e90384c618c77722c02bba7639082"
 
 
 def legacy_repr(report, maxrec):
@@ -186,15 +189,10 @@ def legacy_repr(report, maxrec):
 
 def test_report_grid_matches_pinned_digest():
     # Past the pinned n=256 artifacts: k = 0 and small k, caps that stop runs
-    # early, random_p rounds that all collide (p=1) or are often empty, and a
-    # receiver no sender reaches, where greedy_schedule stops on an empty mask.
-    unreachable = BipartiteRadioNet(
-        3, (Receiver(0, 0b001), Receiver(1, 0b011), Receiver(0, 0), Receiver(1, 0b110))
-    )
+    # early, and random_p rounds that all collide (p=1) or are often empty.
     nets = (
         build_radius2(sample_instance(InstanceParams(64, seed=1)), 64),
         build_radius2(sample_instance(InstanceParams(256, seed=2)), 256),
-        build_radius2(unreachable, 9),
     )
     policies = (("round_robin", None), ("greedy_schedule", None), ("random_p", 1.0),
                 ("random_p", 0.03))

@@ -321,16 +321,23 @@ def test_simulate_needs_radius2_net(tmp_path):
 
 
 def test_simulate_rejects_unreachable_receiver(tmp_path, capsys):
-    # Receiver 1 has no sender neighbour: no policy could ever deliver to it.
+    # Receiver 1 has no sender neighbour: no policy could ever deliver to it,
+    # and no radius-2 net may hold it, so every command that loads the file refuses it.
     net = tmp_path / "u.net"
     net.write_text("radionet v1 2 2\n1 0 1\n0\nradius2 6 1\n")
-    for policy in ("round_robin", "greedy_schedule", "random_p"):
-        extra = ["--p", "0.5"] if policy == "random_p" else []
-        argv = ["simulate", "--net", str(net), "--k", "1", "--policy", policy, *extra]
+    runs = [["simulate", "--net", str(net), "--k", "1", "--policy", policy]
+            for policy in ("round_robin", "greedy_schedule", "random_p")]
+    runs[-1] += ["--p", "0.5"]
+    runs += [["verify", "--net", str(net)], ["verify", "--net", str(net), "--search"]]
+    for argv in runs:
         assert dispatch(argv) == 3
-        err = json.loads(capsys.readouterr().err)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
         assert err["kind"] == "input"
-        assert "receiver 1" in err["error"]
+        assert "receiver 1 has no sender neighbour" in err["error"]
+    net.write_text("radionet v1 2 2\n1 0 1\n0\n")  # flat, the same receivers
+    run_ok(["verify", "--net", str(net)])
 
 
 def test_simulate_random_p_flag(tmp_path):
@@ -374,7 +381,7 @@ def test_report_rejects_foreign_artifact(tmp_path):
      ("rounds_used", True), ("rounds_used", 9.0), ("rounds_used", None),
      ("accounting_lower_bound", [4, 5]), ("accounting_lower_bound", False),
      ("accounting_lower_bound", 4.5), ("throughput", True), ("throughput", 1),
-     ("throughput", "0.25")],
+     ("throughput", "0.25"), ("accounting_lower_bound", None)],
 )
 def test_report_rejects_key_of_wrong_type(tmp_path, capsys, field, value):
     # Keys of mixed types cannot be sorted and other cells would break the row:
@@ -404,13 +411,13 @@ def _assert_report_refuses(tmp_path, capsys, field, cell):
 
 
 def test_report_renders_null_cells_empty(tmp_path):
-    # An unbounded round bound and a zero-round run are written as null: empty cells.
+    # A zero-round run has no throughput: written as null, an empty cell.
     artifact = {"schema_version": 1, "n": 16, "seed": 3, "policy": "random_p", "k": 0,
-                "rounds_used": 0, "accounting_lower_bound": None, "throughput": None}
+                "rounds_used": 0, "accounting_lower_bound": 0, "throughput": None}
     art, out = tmp_path / "a.json", tmp_path / "m.csv"
     art.write_text(json.dumps(artifact))
     run_ok(["report", str(art), "--out", str(out)])
-    assert out.read_text().splitlines()[2:] == ["16,3,random_p,0,0,,"]
+    assert out.read_text().splitlines()[2:] == ["16,3,random_p,0,0,0,"]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import json
-import math
 import os
 import random
 import subprocess
@@ -109,9 +108,14 @@ def test_radius_of_star_is_one():
     assert radius(star) == 1
 
 
-def test_radius_disconnected_reports_infinity():
-    broken = Radius2Net(BipartiteRadioNet(2, (Receiver(0, 0),)), 0)
-    assert math.isinf(radius(broken))
+def test_radius2_refuses_receiver_without_sender():
+    # The wrapper is connected by construction: built directly or loaded from a footer.
+    core = BipartiteRadioNet(2, (Receiver(1, 0b01), Receiver(0, 0)))
+    with pytest.raises(InputError, match="malformed net: receiver 1 has no sender neighbour"):
+        Radius2Net(core, 0)
+    with pytest.raises(InputError, match="malformed net: receiver 1 has no sender neighbour"):
+        loads("radionet v1 2 2\n1 0\n0\nradius2 6 1\n")
+    assert loads("radionet v1 2 2\n1 0\n0\n") == core  # a flat net may keep it
 
 
 def test_radius_never_builds_adjacency():
@@ -119,7 +123,6 @@ def test_radius_never_builds_adjacency():
     for net in (
         build_radius2(sample_instance(InstanceParams(64, seed=5)), 64),
         Radius2Net(BipartiteRadioNet(4, ()), 2),
-        Radius2Net(BipartiteRadioNet(2, (Receiver(0, 0),)), 1),
     ):
         radius(net)
         assert "adjacency" not in vars(net)

@@ -3,6 +3,7 @@
 import math
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -20,6 +21,7 @@ from radionet.broadcast import (
     run_broadcast,
 )
 from radionet import broadcast, verifier
+from radionet.errors import InputError
 from radionet.instance import InstanceParams, build_radius2, sample_instance
 from radionet.model import (
     BipartiteRadioNet,
@@ -191,6 +193,18 @@ def test_greedy_mask_equals_unfiltered_climb_on_active_receivers(core, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(cores(max_senders=16, min_receivers=1, max_receivers=16, min_degree=1), st.data())
+def test_greedy_mask_serves_a_waiting_receiver_on_every_wrapper(core, data):
+    # The greedy policy has no stop for an empty mask: on a wrapper, which
+    # refuses a receiver without a sender, every climb must serve someone.
+    core = Radius2Net(core, data.draw(st.integers(0, 3))).core
+    waiting = bit_mask(data.draw(st.sets(st.integers(0, core.receiver_count - 1), min_size=1)))
+    mask = _best_transmit_mask(core, waiting)
+    assert mask != 0
+    assert round_step(core, mask)[0] & waiting
+
+
+@settings(max_examples=100, deadline=None)
 @given(cores(), st.data())
 def test_climb_stops_at_a_local_maximum(core, data):
     start = data.draw(st.integers(0, (1 << core.sender_count) - 1))
@@ -249,7 +263,7 @@ def test_climb_matches_reference_loops(core, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cores(), st.integers(0, 4), st.data())
+@given(cores(min_degree=1), st.integers(0, 4), st.data())
 def test_core_round_equals_radius2_round(core, voids, data):
     # A round of sender nodes on the whole net, recounted from the layout,
     # delivers exactly what the core round delivers.
@@ -267,7 +281,7 @@ def test_core_round_equals_radius2_round(core, voids, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cores(), st.integers(0, 4))
+@given(cores(min_degree=1), st.integers(0, 4))
 def test_source_round_reaches_every_sender_and_no_receiver(core, voids):
     # The source phase plays no round; this is the claim that lets it skip one.
     net = Radius2Net(core, voids)
@@ -298,11 +312,10 @@ def brute_force_radius(net):
 
 
 def radius_examples(test):
-    """Wrappers at the edges of radius 1 and of connectivity, and generated ones."""
+    """Wrappers at the edges of radius 1, and generated ones."""
     test = example(BipartiteRadioNet(3, ()), 2)(test)  # the source is adjacent to every node
     test = example(BipartiteRadioNet(1, (Receiver(0, 0b1), Receiver(0, 0b1))), 0)(test)  # so is sender 0
     test = example(BipartiteRadioNet(1, (Receiver(0, 0b1),)), 2)(test)  # not with voids: it is not adjacent to them
-    test = example(BipartiteRadioNet(2, (Receiver(0, 0),)), 1)(test)  # an isolated receiver
     for n in (16, 64, 256):  # padded to n nodes as `gen --radius2` pads them
         core = sample_instance(InstanceParams(n, seed=n))
         test = example(core, build_radius2(core, n).void_count)(test)
@@ -310,7 +323,7 @@ def radius_examples(test):
 
 
 @settings(max_examples=100, deadline=None)
-@given(cores(max_senders=6, max_receivers=8), st.integers(0, 3))
+@given(cores(max_senders=6, max_receivers=8, min_degree=1), st.integers(0, 3))
 @radius_examples
 def test_radius_equals_minimum_eccentricity(core, voids):
     net = Radius2Net(core, voids)
@@ -319,20 +332,28 @@ def test_radius_equals_minimum_eccentricity(core, voids):
 
 def test_radius_equals_minimum_eccentricity_on_every_small_wrapper():
     # 1-3 senders, 0-3 receivers with any neighbor masks, 0-2 voids: 2055 wrappers.
-    count = 0
+    # Those that BFS finds disconnected, exactly the ones with a receiver of
+    # mask 0, are refused; every other one has the BFS radius.
+    count = refused = 0
     for senders in range(1, 4):
         for receivers in range(4):
             for masks in product(range(1 << senders), repeat=receivers):
                 core = BipartiteRadioNet(senders, tuple(Receiver(0, m) for m in masks))
                 for voids in range(3):
-                    net = Radius2Net(core, voids)
-                    assert radius(net) == brute_force_radius(net), (senders, masks, voids)
+                    expected = brute_force_radius(SimpleNamespace(core=core, void_count=voids))
+                    assert math.isinf(expected) == (0 in masks)
+                    if 0 in masks:
+                        with pytest.raises(InputError, match=f"receiver {masks.index(0)} has no sender"):
+                            Radius2Net(core, voids)
+                        refused += 1
+                    else:
+                        assert radius(Radius2Net(core, voids)) == expected, (senders, masks, voids)
                     count += 1
-    assert count == 2055
+    assert (count, refused) == (2055, 723)
 
 
 @settings(max_examples=100, deadline=None)
-@given(cores(), st.integers(0, 4), st.booleans(), st.data())
+@given(cores(min_degree=1), st.integers(0, 4), st.booleans(), st.data())
 def test_dumps_loads_round_trip(core, voids, wrap, data):
     classes = data.draw(st.lists(st.integers(0, 5), min_size=core.receiver_count,
                                  max_size=core.receiver_count))
@@ -456,30 +477,26 @@ def reference_broadcast(net, cfg, maxrec):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    cores(max_senders=6, max_receivers=8),
-    st.booleans(),
+    cores(max_senders=6, max_receivers=8, min_degree=1),
     st.sampled_from((0, 1, 3)),
     st.integers(1, 30),
     st.sampled_from((0.05, 0.5, 1.0)),
     st.integers(0, 2**32),
     st.just(_span_sample),
 )
-# k=3 capped at 2 rounds ends inside the source phase; the last receiver
-# has no sender, and p=0.05 on two senders leaves most random_p rounds empty.
-@example(net_of(2, (0, 1), (1,)), True, 3, 2, 0.05, 7, _span_sample)
-@example(net_of(2, (0, 1), (1,)), True, 3, 30, 0.05, 7, _span_sample)
+# k=3 capped at 2 rounds ends inside the source phase, and p=0.05 on two
+# senders leaves most random_p rounds empty.
+@example(net_of(2, (0, 1), (1,)), 3, 2, 0.05, 7, _span_sample)
+@example(net_of(2, (0, 1), (1,)), 3, 30, 0.05, 7, _span_sample)
 # Seed 9 codes 0b11 and then 0b10 to the lone receiver: its row led by bit 1
 # is not e_1, so e_1 must still be inserted, and raises the rank to 2.
-@example(net_of(1, (0,)), False, 2, 30, 1.0, 9, _span_sample)
+@example(net_of(1, (0,)), 2, 30, 1.0, 9, _span_sample)
 # The sampler's all-zero fallback packet is no unit vector and must not mark
 # anyone as holding a message; the second sampler mixes it with e_2.
-@example(net_of(2, (0,), (0, 1), (1,)), False, 3, 30, 0.5, 7, lambda k, rng: 0)
-@example(net_of(2, (0,), (0, 1), (1,)), False, 3, 30, 0.5, 7,
+@example(net_of(2, (0,), (0, 1), (1,)), 3, 30, 0.5, 7, lambda k, rng: 0)
+@example(net_of(2, (0,), (0, 1), (1,)), 3, 30, 0.5, 7,
          lambda k, rng: rng.choice((0, 1 << (k - 1))))
-def test_run_broadcast_matches_per_receiver_reference(core, isolated, k, cap, p, seed,
-                                                      span_sample):
-    if isolated:  # a receiver no sender reaches: it never decodes
-        core = BipartiteRadioNet(core.sender_count, core.receivers + (Receiver(0, 0),))
+def test_run_broadcast_matches_per_receiver_reference(core, k, cap, p, seed, span_sample):
     net = Radius2Net(core, 0)
     maxrec, _ = brute_force_maximum(core)
     for policy, prob in (("round_robin", None), ("greedy_schedule", None), ("random_p", p)):

@@ -63,13 +63,31 @@ def is_subcommand(name):
         return dispatch([name, "--help"]) == 0
 
 
+def names_an_attribute(module, name):
+    """Whether `name` is an attribute of the module `radionet.<module>`, or a
+    dotted `A.b` names `b` of the module `radionet.A` or of that module's `A`."""
+    prefix, _, attribute = name.rpartition(".")
+    try:
+        owner = importlib.import_module(f"radionet.{prefix or module}")
+    except ModuleNotFoundError:  # `A` is no module: a class or other attribute of the row's module
+        owner = getattr(importlib.import_module(f"radionet.{module}"), prefix, None)
+    return hasattr(owner, attribute)
+
+
+def test_names_an_attribute_resolves_modules_and_classes():
+    assert names_an_attribute("model", "fold")
+    assert names_an_attribute("model", "verifier.climb")
+    assert names_an_attribute("model", "Radius2Net.adjacency")
+    assert not names_an_attribute("model", "Radius2Net.adjacencyy")
+    assert not names_an_attribute("model", "Radius2Nett.adjacency")
+
+
 def test_package_map_names_what_exists():
     rows = list(package_map_rows())
     assert {module for module, _ in rows} == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "errors"}
     missing = []
     for module, names in rows:
         for name in names:
-            prefix, _, attribute = name.rpartition(".")
-            if not hasattr(importlib.import_module(f"radionet.{prefix or module}"), attribute) and not is_subcommand(name):
+            if not names_an_attribute(module, name) and not is_subcommand(name):
                 missing.append(f"{module}: {name}")
     assert missing == []
