@@ -8,26 +8,28 @@ round_robin, greedy_schedule, or random_p scheduling. Content is either
 routing (a packet carries one message id m, as the unit vector 1 << m) or
 coding (a packet carries any GF(2) coefficient vector). Routing is thus the
 special case of coding whose packets are unit vectors: every receiver keeps
-one GF(2) basis and decodes at rank k. Message size equals packet size, so
-one reception accounts for exactly one message unit.
+a GF(2) basis, its k slots of one row table, and decodes at rank k. Message
+size equals packet size, so one reception accounts for exactly one message
+unit.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, bit_mask, bit_members, round_step
-from .util import derive_rng
-# The two engines are imported only for the benchmark's tracer (perfbench/spans.py).
+from .model import BipartiteRadioNet, Radius2Net, bit_members, fold, round_step
+# round_step and the two engines are imported only for the benchmark's tracer
+# (perfbench/spans.py), which wraps them here; no round goes through round_step.
 from .verifier import climb, max_receptions_exact, max_receptions_search
 
 POLICIES = ("round_robin", "greedy_schedule", "random_p")
 CONTENT_MODELS = ("routing", "coding")
 
-#: The largest k `simulate` takes, and the largest k x receivers: a receiver's
-#: GF(2) basis holds up to k rows of k bits, and routing keeps k holder sets.
+#: The largest k `simulate` takes, and the largest k x receivers: the row table
+#: holds k x receivers ints, and routing keeps k holder sets.
 MAX_K = 1 << 10
 MAX_K_RECEIVERS = 1 << 20
 
@@ -35,34 +37,22 @@ MAX_K_RECEIVERS = 1 << 20
 MAX_ROUNDS = 1 << 20
 
 
-class GF2Basis:
-    """Row basis over the binary field, vectors as bit masks.
+def _insert(rows: list[int], base: int, vector: int) -> bool:
+    """Add a vector to one receiver's GF(2) basis; True if it was independent.
 
-    Insertion eliminates against existing pivots, so rank is maintained
-    incrementally and never decreases; each insert raises it by at most 1.
-    `pivot_rows` maps each pivot (leading-bit position) to its row. A basis
-    built from unit vectors alone has the vectors as rows, so its pivots
-    are exactly the positions inserted.
+    The basis is the slots rows[base + p], p < k: the row whose leading bit
+    is p, or 0. Insertion eliminates against those rows, so the rank, the
+    count of nonzero slots, never decreases and each insert raises it by at
+    most 1. A basis built from unit vectors alone has them as its rows.
     """
-
-    def __init__(self):
-        self.pivot_rows: dict[int, int] = {}
-
-    def insert(self, vector: int) -> bool:
-        """Add a vector; True if it was independent of the basis."""
-        v = vector
-        while v:
-            top = v.bit_length() - 1
-            row = self.pivot_rows.get(top)
-            if row is None:
-                self.pivot_rows[top] = v
-                return True
-            v ^= row
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+    while vector:
+        slot = base + vector.bit_length() - 1
+        row = rows[slot]
+        if not row:
+            rows[slot] = vector
+            return True
+        vector ^= row
+    return False
 
 
 @dataclass(frozen=True)
@@ -160,21 +150,24 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     The source phase plays no round: the source alone transmits one message
     (or unit coefficient vector) per round, so every sender hears it and no
     receiver can. After it every sender holds all k messages, or the cap has
-    ended the run. Each policy round is then evaluated once with the real
-    collision semantics (round_step) on the bipartite core, before the
-    payloads are chosen. Only receivers still waiting insert what they hear
-    into their GF(2) basis: a decoded receiver's basis spans GF(2)^k, so an
-    insert there could never raise its rank. Receivers are bit sets
-    throughout. `holds[m]` collects the waiting receivers already delivered
-    the unit vector e_m; a transmitter sending e_m skips them, since e_m is
-    in their span and the insert could not raise the rank either. Every
-    routing packet is a unit vector, so routing receivers insert only the
-    messages they lack; coding packets are unit vectors only rarely. Each
-    round's receptions are added into bit-plane counters, read out once at
-    the end. The minimum decoded dimension is kept incrementally, since
-    ranks never fall. Deterministic given (net, cfg). `maxrec`, the most
-    receivers one round can serve (at least 1 if there are receivers: each
-    has a sender), enters only the counting bound; the caller computes it.
+    ended the run. Each nonempty policy round then folds its transmitters'
+    reach masks once with the real collision semantics (`model.fold`), and
+    every transmitter, heard or not, takes its payload in ascending order:
+    the routing cycle moves on and a coding draw is used up either way. Only
+    waiting receivers insert what they hear into their GF(2) basis: a
+    decoded receiver's basis spans GF(2)^k, so no insert could raise its
+    rank. The bases share one row table, rows[r * k + p] receiver r's row
+    with leading bit p, or 0. Receivers are bit sets throughout. `holds[m]`
+    collects the waiting receivers already delivered the unit vector e_m; a
+    transmitter sending e_m skips them, since e_m is in their span, so
+    routing receivers insert only the messages they lack. Receptions go into
+    bit-plane counters, read out at the end; the minimum decoded dimension
+    is kept incrementally. Deterministic given (net, cfg): one generator,
+    reseeded at the C level, gives round t (its series row) the streams
+    `util` derives from the paths (seed, t) for random_p transmitters and
+    (seed, t, 1) for coding payloads. `maxrec`, the most receivers one round
+    can serve (at least 1 if there are receivers: each has a sender), enters
+    only the counting bound; the caller computes it.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
@@ -183,8 +176,16 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     receiver_count = core.receiver_count
     bound = lower_bound_rounds(k, receiver_count, maxrec)
     n_senders = core.sender_count
+    reach = core.reach_masks
     coding = cfg.content_model == "coding"
-    bases = [GF2Basis() for _ in range(receiver_count)]
+    greedy = cfg.policy == "greedy_schedule"
+    greedy_routing = greedy and not coding  # picks each packet from its listeners
+    p = cfg.p
+    key = cfg.seed << 64
+    gen = random.Random(0)  # reseeded before every random round; 0 spares an OS entropy read
+    reseed, draw = super(random.Random, gen).seed, gen.random
+    rows = [0] * (k * receiver_count)
+    ranks = [0] * receiver_count
     reception_planes: list[int] = []  # plane j holds bit j of every receiver's count
     waiting = (1 << receiver_count) - 1 if k else 0
     rounds = min(k, cfg.max_rounds) if waiting else 0  # the source phase
@@ -193,48 +194,53 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     rank_counts = [receiver_count] + [0] * k  # receivers at each rank
     min_rank = 0
     message_cursor = [0] * n_senders  # per-sender cycle position (routing)
-    climbed_for, greedy_mask = -1, 0  # the waiting set of the last greedy climb, and its mask
+    climbed_for, greedy_members = -1, ()  # the waiting set of the last greedy climb, and its senders
 
     while waiting and rounds < cfg.max_rounds:
         if cfg.policy == "round_robin":
-            mask = 1 << ((rounds - k) % n_senders)
-        elif cfg.policy == "greedy_schedule":
+            members = ((rounds - k) % n_senders,)
+        elif greedy:
             if waiting != climbed_for:  # the climb depends on `waiting` alone
-                climbed_for, greedy_mask = waiting, _best_transmit_mask(core, waiting)
-            mask = greedy_mask
+                climbed_for = waiting
+                greedy_members = bit_members(_best_transmit_mask(core, waiting))
+            members = greedy_members
         else:  # random_p
-            rng = derive_rng(cfg.seed, rounds + 1)
-            mask = bit_mask(u for u in range(n_senders) if rng.random() < cfg.p)
+            reseed(key | (rounds + 1))
+            members = [u for u in range(n_senders) if draw() < p]
         rounds += 1
         hits = 0
-        if mask:  # an empty random_p round still costs time
-            heard, listeners = round_step(core, mask)
+        if members:  # an empty random_p round still costs time
+            one, two, _ = fold(reach, members)
+            heard = one & ~two
             hits = heard.bit_count()
             _add_to_planes(reception_planes, heard)
             if coding:
-                rng = derive_rng(cfg.seed, rounds, 1)
-                payloads = {u: _span_sample(k, rng) for u in bit_members(mask)}
-            elif cfg.policy == "greedy_schedule":
-                payloads = _greedy_message_choice(listeners, waiting, holds)
-            else:
-                payloads = {}
-                for u in bit_members(mask):
-                    payloads[u] = 1 << (message_cursor[u] % k)
+                reseed(((key | rounds) << 64) | 1)
+            for u in members:
+                if coding:
+                    payload = _span_sample(k, gen)
+                elif not greedy_routing:
+                    payload = 1 << (message_cursor[u] % k)
                     message_cursor[u] += 1
-            for u, bits in listeners:
-                payload = payloads[u]
-                listening = bits & waiting
+                listening = reach[u] & heard & waiting
+                if not listening:
+                    continue
+                if greedy_routing:
+                    payload = _greedy_message_choice(listening, holds)
                 if payload.bit_count() == 1:  # e_m: skip the receivers holding it
                     m = payload.bit_length() - 1
                     listening &= ~holds[m]
                     holds[m] |= listening
-                for r in bit_members(listening):
-                    if bases[r].insert(payload):  # the rank rose by one
-                        rank = bases[r].rank
+                while listening:
+                    low = listening & -listening
+                    listening ^= low
+                    r = low.bit_length() - 1
+                    if _insert(rows, r * k, payload):  # the rank rose by one
+                        rank = ranks[r] = ranks[r] + 1
                         rank_counts[rank - 1] -= 1
                         rank_counts[rank] += 1
                         if rank >= k:
-                            waiting ^= 1 << r
+                            waiting ^= low
             while min_rank < k and not rank_counts[min_rank]:
                 min_rank += 1
         series.append((rounds, hits, min_rank))
@@ -247,7 +253,7 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
         rounds_used=rounds,
         incomplete=bool(waiting),
         per_receiver_receptions=tuple(receptions),
-        per_receiver_decoded=tuple(basis.rank >= k for basis in bases),
+        per_receiver_decoded=tuple(rank >= k for rank in ranks),
         total_receptions=sum(receptions),
         throughput=(k / rounds) if rounds else None,
         accounting_lower_bound=bound,
@@ -266,21 +272,15 @@ def _add_to_planes(planes: list[int], bits: int) -> None:
         planes.append(bits)
 
 
-def _greedy_message_choice(
-    listeners: tuple[tuple[int, int], ...], waiting: int, holds: list[int]
-) -> dict[int, int]:
-    """Each heard transmitter's routing packet: the unit vector of the message
+def _greedy_message_choice(listening: int, holds: list[int]) -> int:
+    """A heard transmitter's routing packet: the unit vector of the message
     id missing from most of its waiting listeners, the smallest id on ties.
 
-    `listeners` holds round_step's (transmitter, listener bits) pairs,
-    `waiting` the receivers not yet decoded and `holds[m]` the waiting
-    receivers already delivered id m. A routing receiver holds exactly the
-    ids it was delivered, and a decoded listener misses none, so the tally
-    of id m is one popcount of the waiting listeners outside `holds[m]`.
+    `listening` holds the waiting receivers that hear the transmitter and
+    `holds[m]` the waiting receivers already delivered id m. A routing
+    receiver holds exactly the ids it was delivered, and a decoded listener
+    misses none, so the tally of id m is one popcount of the listeners
+    outside `holds[m]`.
     """
-    choice = {}
-    for u, heard in listeners:
-        listening = heard & waiting
-        tally = [(listening & ~held).bit_count() for held in holds]
-        choice[u] = 1 << tally.index(max(tally))
-    return choice
+    tally = [(listening & ~held).bit_count() for held in holds]
+    return 1 << tally.index(max(tally))

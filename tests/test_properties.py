@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from radionet.broadcast import (
     CONTENT_MODELS,
+    MAX_K,
+    MAX_ROUNDS,
     BroadcastConfig,
     BroadcastReport,
-    GF2Basis,
     _best_transmit_mask,
+    _insert,
     _span_sample,
     lower_bound_rounds,
     run_broadcast,
@@ -372,13 +374,35 @@ def test_dumps_loads_round_trip(core, voids, wrap, data):
 @given(st.integers(1, 6), st.data())
 def test_gf2_rank_matches_span_size(k, data):
     vectors = data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=8))
-    basis = GF2Basis()
+    r = data.draw(st.integers(0, 2))  # one receiver's slots in a table of three
+    rows = [0] * (3 * k)
     span = {0}
     for v in vectors:
         grown = {s ^ v for s in span} | span
-        assert basis.insert(v) == (len(grown) > len(span))
+        assert _insert(rows, r * k, v) == (len(grown) > len(span))
         span = grown
-        assert 1 << basis.rank == len(span)
+        assert 1 << sum(1 for row in rows[r * k:(r + 1) * k] if row) == len(span)
+    assert not any(rows[:r * k] + rows[(r + 1) * k:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, MAX_ROUNDS), st.integers(1, MAX_K))
+@example(0, 0, 1)
+@example(0, MAX_ROUNDS, MAX_K)
+@example(2**64 - 1, 1, 64)
+@example(2**64 - 1, MAX_ROUNDS, MAX_K)
+def test_reseeded_generator_draws_the_derived_streams(seed, r, k):
+    # run_broadcast reseeds one generator with the keys of the paths (seed,
+    # r) and (seed, r, 1); derive_rng builds a new generator per path. The
+    # generator is reused across both keys, as across a run's rounds.
+    gen = random.Random(0)
+    reseed = super(random.Random, gen).seed
+    for key, path in (((seed << 64) | r, (seed, r)), ((((seed << 64) | r) << 64) | 1, (seed, r, 1))):
+        gen.getrandbits(k)
+        reseed(key)
+        fresh = derive_rng(*path)
+        assert [gen.random() for _ in range(3)] == [fresh.random() for _ in range(3)]
+        assert [gen.getrandbits(k) for _ in range(3)] == [fresh.getrandbits(k) for _ in range(3)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -408,15 +432,36 @@ def test_rounds_used_meet_the_exact_round_bound(core, voids, k, seed):
                 assert report.rounds_used >= bound, (policy, model)
 
 
+class PivotBasis:
+    """The reference's own GF(2) basis: each pivot (leading bit) maps to its row."""
+
+    def __init__(self):
+        self.pivot_rows = {}
+
+    def insert(self, vector):
+        while vector:
+            top = vector.bit_length() - 1
+            if top not in self.pivot_rows:
+                self.pivot_rows[top] = vector
+                return
+            vector ^= self.pivot_rows[top]
+
+    @property
+    def rank(self):
+        return len(self.pivot_rows)
+
+
 def reference_broadcast(net, cfg, maxrec):
     """run_broadcast as a per-receiver loop: every heard receiver inserts and counts.
 
     Decoded receivers insert too, the greedy tally counts every listener,
-    and the minimum rank is recomputed each round.
+    and the minimum rank is recomputed each round. Each receiver keeps its
+    own pivot dict, and every round's randomness comes from a new
+    `derive_rng` generator.
     """
     core = net.core
     k, n_senders = cfg.k, core.sender_count
-    bases = [GF2Basis() for _ in core.receivers]
+    bases = [PivotBasis() for _ in core.receivers]
     receptions = [0] * core.receiver_count
     waiting = set(range(core.receiver_count)) if k else set()
     rounds = min(k, cfg.max_rounds) if waiting else 0
@@ -496,6 +541,13 @@ def reference_broadcast(net, cfg, maxrec):
 @example(net_of(2, (0,), (0, 1), (1,)), 3, 30, 0.5, 7, lambda k, rng: 0)
 @example(net_of(2, (0,), (0, 1), (1,)), 3, 30, 0.5, 7,
          lambda k, rng: rng.choice((0, 1 << (k - 1))))
+# Under p=1 senders 0 and 1 transmit every round and reach only receiver 0,
+# which hears a collision: they still draw their coded packets before sender
+# 2 does, and on seed 0 those draws decide whether receiver 1 decodes by the cap.
+@example(net_of(3, (0, 1), (2,)), 2, 5, 1.0, 0, _span_sample)
+# A round where both senders transmit leaves the lone receiver hearing a
+# collision; each sender's routing cycle still moves on.
+@example(net_of(2, (0, 1)), 2, 30, 0.5, 1, _span_sample)
 def test_run_broadcast_matches_per_receiver_reference(core, k, cap, p, seed, span_sample):
     net = Radius2Net(core, 0)
     maxrec, _ = brute_force_maximum(core)
