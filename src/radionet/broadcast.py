@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, bit_members, fold, round_step
-# round_step and the two engines are imported only for the benchmark's tracer
-# (perfbench/spans.py), which wraps them here; no round goes through round_step.
-from .verifier import climb, max_receptions_exact, max_receptions_search
+from .model import BipartiteRadioNet, Radius2Net, bit_members, fold
+from .util import reseed
+from .verifier import climb
+# Only the benchmark's tracer (perfbench/spans.py) reads these: it wraps them here.
+from .model import round_step
+from .verifier import max_receptions_exact, max_receptions_search
 
 POLICIES = ("round_robin", "greedy_schedule", "random_p")
 CONTENT_MODELS = ("routing", "coding")
@@ -132,16 +134,15 @@ def _best_transmit_mask(net: BipartiteRadioNet, waiting: int) -> int:
 
 
 def _span_sample(k: int, rng) -> int:
-    """Uniform nonzero element of the span of the k unit vectors, GF(2)^k.
+    """Uniform nonzero element of the span of the k >= 1 unit vectors, GF(2)^k.
 
     A uniform random subset of the unit vectors is a uniform k-bit mask;
-    zero draws are rejected because an all-zero packet carries nothing.
+    zero draws are redrawn because an all-zero packet carries nothing.
     """
-    for _ in range(128):
+    pick = rng.getrandbits(k)
+    while not pick:
         pick = rng.getrandbits(k)
-        if pick:
-            return pick
-    return 0  # only reachable with vanishing probability; nothing to send
+    return pick
 
 
 def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> BroadcastReport:
@@ -162,12 +163,12 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     transmitter sending e_m skips them, since e_m is in their span, so
     routing receivers insert only the messages they lack. Receptions go into
     bit-plane counters, read out at the end; the minimum decoded dimension
-    is kept incrementally. Deterministic given (net, cfg): one generator,
-    reseeded at the C level, gives round t (its series row) the streams
-    `util` derives from the paths (seed, t) for random_p transmitters and
-    (seed, t, 1) for coding payloads. `maxrec`, the most receivers one round
-    can serve (at least 1 if there are receivers: each has a sender), enters
-    only the counting bound; the caller computes it.
+    is kept incrementally. Deterministic given (net, cfg): `util.reseed`
+    puts one generator on the path (seed, t) for the random_p transmitters
+    of round t (its series row) and (seed, t, 1) for its coding payloads.
+    `maxrec`, the most receivers one round can serve (at least 1 if there
+    are receivers: each has a sender), enters only the counting bound; the
+    caller computes it.
     """
     if not isinstance(net, Radius2Net):
         raise InputError("run_broadcast needs a radius-2 network")
@@ -181,9 +182,8 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     greedy = cfg.policy == "greedy_schedule"
     greedy_routing = greedy and not coding  # picks each packet from its listeners
     p = cfg.p
-    key = cfg.seed << 64
     gen = random.Random(0)  # reseeded before every random round; 0 spares an OS entropy read
-    reseed, draw = super(random.Random, gen).seed, gen.random
+    draw = gen.random
     rows = [0] * (k * receiver_count)
     ranks = [0] * receiver_count
     reception_planes: list[int] = []  # plane j holds bit j of every receiver's count
@@ -205,7 +205,7 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
                 greedy_members = bit_members(_best_transmit_mask(core, waiting))
             members = greedy_members
         else:  # random_p
-            reseed(key | (rounds + 1))
+            reseed(gen, cfg.seed, rounds + 1)
             members = [u for u in range(n_senders) if draw() < p]
         rounds += 1
         hits = 0
@@ -215,7 +215,7 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
             hits = heard.bit_count()
             _add_to_planes(reception_planes, heard)
             if coding:
-                reseed(((key | rounds) << 64) | 1)
+                reseed(gen, cfg.seed, rounds, 1)
             for u in members:
                 if coding:
                     payload = _span_sample(k, gen)

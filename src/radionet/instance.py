@@ -16,6 +16,7 @@ from typing import Iterator
 
 from .errors import BudgetError, InputError
 from .model import MAX_N, BipartiteRadioNet, Radius2Net, Receiver
+from .util import reseed
 
 
 @dataclass(frozen=True)
@@ -49,30 +50,24 @@ def _receiver_masks(
 ) -> list[int]:
     """Neighbor masks of receivers first .. first + count - 1, each a uniform `degree`-subset.
 
-    Receiver i is a partial Fisher-Yates shuffle seeded from (seed, i) only,
-    so every receiver can be regenerated independently of iteration order.
-    `gen` is reseeded before each receiver through the C-level seed of
-    `random.Random` with the key (seed << 64) | i: the key and the state of
-    `derive_rng(seed, i)`, without building a generator or going through
-    `random.py`'s Python seed wrapper. Swap t takes its offset below
-    width = sender_count - t straight from getrandbits(width.bit_length()),
-    redrawn while it is not below width: the draw randrange(t, sender_count)
-    makes on CPython 3.11, so the stream, and every generated file, stays
-    that of randrange. The pool holds each sender as its bit, and the sender
-    swapped into place t is ORed into the mask. A full-degree receiver takes
-    every sender whatever the draws, and its stream feeds no other
-    receiver, so it skips them.
+    Receiver i is a partial Fisher-Yates shuffle on the stream of the path
+    (seed, i) (`util.reseed`), so it can be regenerated independently of
+    iteration order. Swap t takes its offset below width = sender_count - t
+    straight from getrandbits(width.bit_length()), redrawn while it is not
+    below width: the draw randrange(t, sender_count) makes on CPython 3.11,
+    so the stream, and every generated file, stays that of randrange. The
+    pool holds each sender as its bit, and the sender swapped into place t
+    is ORed into the mask. A full-degree receiver takes every sender and
+    its stream feeds no other receiver, so it skips the draws.
     """
     if degree == sender_count:
         return [(1 << sender_count) - 1] * count
-    reseed = super(random.Random, gen).seed
     getrandbits = gen.getrandbits
     steps = [(t, sender_count - t, (sender_count - t).bit_length()) for t in range(degree)]
     senders = [1 << u for u in range(sender_count)]
-    key = seed << 64
     masks = []
     for index in range(first, first + count):
-        reseed(key | index)
+        reseed(gen, seed, index)
         pool = senders[:]
         mask = 0
         for t, width, bits in steps:

@@ -1,4 +1,4 @@
-"""Small shared helpers: stable RNG derivation and atomic file writes."""
+"""Small shared helpers: seeded generator streams (`reseed`) and atomic file writes."""
 
 from __future__ import annotations
 
@@ -9,23 +9,27 @@ from typing import Iterable, Union
 from .errors import InputError
 
 
-def derive_rng(seed: int, *path: int) -> random.Random:
-    """Deterministic RNG for a (seed, index, ...) derivation path.
+def reseed(gen: random.Random, seed: int, *path: int) -> random.Random:
+    """Put `gen` on the stream of the derivation path (seed, *path) and return it.
 
-    Folds each path component into one big integer key, which keeps the
-    mapping injective: distinct paths never share a generator, and nothing
-    depends on process hash randomization, iteration order, or worker count.
-    Components must be nonnegative and below 2**64.
+    The seed and each component must be in [0, 2**64). They fold, 64 bits
+    each, into one key that seeds `gen` at the C level, past `random.py`'s
+    Python wrapper: the stream is that of `random.Random(key)` in any
+    process. The fold is injective among paths of one length, so no two
+    share a stream; paths of different lengths may: (5,) and (0, 5) do.
     """
-    key = int(seed)
-    if key < 0:
-        raise InputError("seed must be nonnegative")
-    for part in path:
-        part = int(part)
+    key = 0
+    for part in (seed, *path):
         if not 0 <= part < 2**64:
-            raise InputError("derivation indices must fit in 64 bits")
-        key = (key << 64) | part
-    return random.Random(key)
+            raise InputError("seed and derivation indices must be 64-bit unsigned integers")
+        key = (key << 64) | int(part)
+    super(random.Random, gen).seed(key)
+    return gen
+
+
+def derive_rng(seed: int, *path: int) -> random.Random:
+    """A new generator on the stream of the derivation path (seed, *path); see `reseed`."""
+    return reseed(random.Random(0), seed, *path)  # 0 spares an OS entropy read
 
 
 def atomic_write_text(path: str, text: Union[str, Iterable[str]]) -> None:

@@ -290,6 +290,27 @@ def test_every_private_helper_is_used_in_the_package():
     assert sorted(helpers - set().union(*map(_names_read, package))) == []
 
 
+def test_only_util_turns_a_seed_into_a_stream():
+    # util.reseed alone folds a derivation path into a key and seeds a
+    # generator at the C level; any other `<< 64` or `super(random.Random, ...)`
+    # is a second copy of that decision.
+    found = []
+    for path in sorted(Path(radionet.__file__).parent.glob("*.py")):
+        if path.name == "util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            shift = isinstance(getattr(node, "op", None), ast.LShift)
+            amount = getattr(node, "right", getattr(node, "value", None))
+            folds = shift and isinstance(amount, ast.Constant) and amount.value == 64
+            c_seed = (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "super"
+                and bool(node.args) and ast.unparse(node.args[0]) in ("random.Random", "Random")
+            )
+            if folds or c_seed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_public_name_has_a_reader_outside_the_tests():
     # Public API that only the tests read is dead code too. The benchmark
     # counts as a reader: its tracer wraps functions and its oracles call them.

@@ -37,7 +37,7 @@ from radionet.model import (
     radius,
     round_step,
 )
-from radionet.util import derive_rng
+from radionet.util import derive_rng, reseed
 from radionet.verifier import climb, max_receptions_exact, max_receptions_search
 
 from layout import SOURCE, layout_neighbors, receiver_node, sender_node, void_node
@@ -392,17 +392,27 @@ def test_gf2_rank_matches_span_size(k, data):
 @example(2**64 - 1, 1, 64)
 @example(2**64 - 1, MAX_ROUNDS, MAX_K)
 def test_reseeded_generator_draws_the_derived_streams(seed, r, k):
-    # run_broadcast reseeds one generator with the keys of the paths (seed,
-    # r) and (seed, r, 1); derive_rng builds a new generator per path. The
-    # generator is reused across both keys, as across a run's rounds.
+    # One generator, reused across the paths (seed), (seed, r) and (seed, r,
+    # 1) as across a run's rounds, draws what a new generator seeded with the
+    # path's key draws: the components folded 64 bits each.
     gen = random.Random(0)
-    reseed = super(random.Random, gen).seed
-    for key, path in (((seed << 64) | r, (seed, r)), ((((seed << 64) | r) << 64) | 1, (seed, r, 1))):
+    for path, key in (
+        ((), seed),
+        ((r,), (seed << 64) | r),
+        ((r, 1), (((seed << 64) | r) << 64) | 1),
+    ):
         gen.getrandbits(k)
-        reseed(key)
-        fresh = derive_rng(*path)
+        assert reseed(gen, seed, *path) is gen
+        fresh = random.Random(key)
         assert [gen.random() for _ in range(3)] == [fresh.random() for _ in range(3)]
         assert [gen.getrandbits(k) for _ in range(3)] == [fresh.getrandbits(k) for _ in range(3)]
+
+
+def test_derive_rng_refuses_a_seed_or_component_past_64_bits():
+    # A seed of 2**64 would fold to the key of the path (1, 0).
+    for path in ((2**64,), (-1,), (0, 2**64), (0, -1)):
+        with pytest.raises(InputError):
+            derive_rng(*path)
 
 
 @settings(max_examples=40, deadline=None)
@@ -536,8 +546,8 @@ def reference_broadcast(net, cfg, maxrec):
 # Seed 9 codes 0b11 and then 0b10 to the lone receiver: its row led by bit 1
 # is not e_1, so e_1 must still be inserted, and raises the rank to 2.
 @example(net_of(1, (0,)), 2, 30, 1.0, 9, _span_sample)
-# The sampler's all-zero fallback packet is no unit vector and must not mark
-# anyone as holding a message; the second sampler mixes it with e_2.
+# An all-zero packet, which `_span_sample` never draws, is no unit vector and
+# must not mark anyone as holding a message; the second sampler mixes it with e_2.
 @example(net_of(2, (0,), (0, 1), (1,)), 3, 30, 0.5, 7, lambda k, rng: 0)
 @example(net_of(2, (0,), (0, 1), (1,)), 3, 30, 0.5, 7,
          lambda k, rng: rng.choice((0, 1 << (k - 1))))
