@@ -1,4 +1,3 @@
-import hashlib
 import math
 import statistics
 from unittest import mock
@@ -18,6 +17,8 @@ from radionet.errors import InputError
 from radionet.instance import InstanceParams, build_radius2, sample_instance
 from radionet.model import BipartiteRadioNet, Receiver, bit_mask, round_step
 from radionet.verifier import max_receptions_exact
+
+from goldens import check, legacy_report_repr
 
 
 def toy_core():
@@ -182,18 +183,6 @@ def test_completion_meets_reception_floor_and_accounting_bound():
             assert report.rounds_used >= report.accounting_lower_bound
 
 
-#: sha256 of the reprs of the 192 reports below, recorded before `Radius2Net`
-#: refused a receiver without a sender; any change is a behaviour change.
-PINNED_REPORT_GRID_DIGEST = "4df84f5c432d93fb4863d044417698cc2f5e90384c618c77722c02bba7639082"
-
-
-def legacy_repr(report, maxrec):
-    """The report's repr as it was pinned, when the report still carried the
-    exact maxrec and its method; both now go only into the simulate artifact."""
-    head, series = repr(report).split(", series=")
-    return f"{head}, maxrec={maxrec}, maxrec_method='exact', series={series}"
-
-
 def test_report_grid_matches_pinned_digest():
     # Past the pinned n=256 artifacts: k = 0 and small k, caps that stop runs
     # early, and random_p rounds that all collide (p=1) or are often empty.
@@ -212,9 +201,8 @@ def test_report_grid_matches_pinned_digest():
                     for cap in (2, 40, 400):
                         cfg = BroadcastConfig(k=k, content_model=model, policy=policy, p=p,
                                               max_rounds=cap, seed=11)
-                        reports.append(legacy_repr(run_broadcast(net, cfg, maxrec), maxrec))
-    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
-    assert digest == PINNED_REPORT_GRID_DIGEST
+                        reports.append(legacy_report_repr(run_broadcast(net, cfg, maxrec), maxrec))
+    check("report grid", "\n".join(reports).encode())
 
 
 def test_run_is_deterministic():

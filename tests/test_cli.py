@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import os
 import stat
@@ -15,6 +14,8 @@ from radionet.cli import _write_csv, dispatch
 from radionet.instance import InstanceParams
 from radionet.model import MAX_N, MAX_RECEIVERS, MAX_SENDERS, load
 from radionet.verifier import MAX_RESTARTS
+
+from goldens import check
 
 
 def run_ok(argv):
@@ -38,6 +39,17 @@ def test_gen_radius2_footer_and_determinism(tmp_path):
     run_ok(["gen", "--n", "64", "--seed", "3", "--out", str(b), "--radius2"])
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[-1].startswith("radius2 64 ")
+
+
+def test_gen_nets_match_pinned_digests(tmp_path):
+    # The net file keeps each receiver's class index, which the layout digest leaves out.
+    nets = {}
+    for n in (256, 4096):
+        for seed in (0, 7):
+            out = tmp_path / f"n{n}-seed{seed}.net"
+            run_ok(["gen", "--n", str(n), "--seed", str(seed), "--out", str(out), "--radius2"])
+            nets[out.name] = out.read_bytes()
+    check("gen n=256,4096", nets)
 
 
 def test_gen_rejects_bad_n(tmp_path, capsys):
@@ -91,6 +103,16 @@ def test_verify_exact_json(tmp_path, net_spec, c, expected):
     if data["receiver_count"]:
         assert data["fraction"] == data["best_count"] / data["receiver_count"]
     assert {key: data[key] for key in expected} == expected
+
+
+def test_verify_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the artifact records the net path as given
+    run_ok(["gen", "--n", "256", "--seed", "7", "--out", "h.net", "--radius2"])
+    run_ok(["verify", "--net", "h.net", "--exact", "--threshold", "20", "--out", "exact.json"])
+    run_ok(["gen", "--n", "1024", "--seed", "5", "--out", "g.net", "--radius2"])
+    run_ok(["verify", "--net", "g.net", "--search", "--seed", "3", "--out", "search.json"])
+    artifacts = {name: (tmp_path / name).read_bytes() for name in ("exact.json", "search.json")}
+    check("verify n=256,1024", artifacts)
 
 
 def test_verify_search_mode(tmp_path):
@@ -171,15 +193,10 @@ def test_analyze_grid_csv(tmp_path):
     assert sizes == {2, 4, 8}
 
 
-#: sha256 of `analyze --grid-nprime 2..256`, recorded before the bound chain
-#: moved to integer arithmetic; any change here is a behaviour change.
-PINNED_ANALYZE_DIGEST = "12105061d48b482c7f6369ac61a4e03d81fbb92fb3ddac9f97485275cea6a9af"
-
-
 def test_analyze_csv_matches_pinned_digest(tmp_path):
     out = tmp_path / "chains.csv"
     run_ok(["analyze", "--grid-nprime", "2..256", "--out", str(out)])
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ANALYZE_DIGEST
+    check("analyze 2..256", out.read_bytes())
 
 
 def test_analyze_to_stdout_equals_file(tmp_path, capsys):
@@ -484,45 +501,8 @@ def test_verify_witness_hex_is_lowercase_without_prefix(tmp_path):
     assert (data["best_count"], data["witness_hex"]) == (3, "2a")
 
 
-#: sha256 of the n=256 simulate artifacts and series, recorded before the
-#: simulator moved onto the bipartite core; any change here is a behaviour change.
-PINNED_SIMULATE_DIGESTS = {
-    "round_robin-routing.json": "e1a91fea159627340a114a521eadc2ad32c4b0eaa11854eea632050208de0c5e",
-    "round_robin-routing.csv": "a22a7d56c2b8239e2d54f21803c58d1a92f61e155cb6146db6825571515d1fa6",
-    "round_robin-coding.json": "9b40983f8ba7cadb485ba77cb7e8ed6d9fd5868e4d9cafb26d3efe7217007c1b",
-    "round_robin-coding.csv": "397c8cb118589e785e25d0cb8ee2e62413245b9f0f53dd46a6446ab9045a850e",
-    "greedy_schedule-routing.json": "cb1a5e9e9ac51b4e173d95748c85028f86ebb7fdebf17bad2db30bb1413ca6c5",
-    "greedy_schedule-routing.csv": "a9a24a72820a2632dab50cd827cda2dd009351028cc6ffa8ddff52612a355686",
-    "greedy_schedule-coding.json": "5a5dd122d70e58eacdaa2c6b27d02cdbdebb98f67eabe11fe5f58d1c26ff4fb8",
-    "greedy_schedule-coding.csv": "f6edf7a326f69034ae8cbcb2be92eaf0fcebbda89be163f796ff8747d7e0775f",
-    "random_p-routing.json": "1449ef2cd7055ade32a5e4c176f5c2d5debd8ba8b6246913be3c3da336fb7b3b",
-    "random_p-routing.csv": "037f2e32a1a0d2484cf758ae68336bcbc2fa332a9d88cba894ac7d8ca3c9ece1",
-    "random_p-coding.json": "c9c60273649a990f8a4c9ee4a3c013fdb3d05b47018ce64b5ad91adad99ee9af",
-    "random_p-coding.csv": "c0bf62aacc07497de970be603b818e3393dfe23454151395d31a0de73368ceb8",
-}
-
-
-#: The same six runs at n=1024 (n' = 32, past the enumeration budget, so
-#: maxrec comes from the search), recorded before the routing receivers kept
-#: one holder set per message; any change here is a behaviour change.
-PINNED_SEARCH_SIMULATE_DIGESTS = {
-    "round_robin-routing.json": "44a82820585ccdd2cd5bdfd09ebfea94bf69ede3558d973a4cbb1087633012c7",
-    "round_robin-routing.csv": "105f73fe90fba61f8d7f83432aa08773f51c324625ced4e24a31a48cb86387ec",
-    "round_robin-coding.json": "9d80e5319dbf6bbea864615d02b65a0f38f60909ce8f211e15dd19a8d9253220",
-    "round_robin-coding.csv": "5bd3d8c754c8fdc396ea8dd8aaafb55e3e810a49f74e90be97b0cc5813b47abe",
-    "greedy_schedule-routing.json": "4105b5c741b816d375761e70c9df54b3099e332129b9f0691d3623e1dd1e319f",
-    "greedy_schedule-routing.csv": "2e151af29a0994523ba0340237cfb6cb0612eceabdd59605b3c570fa67a3d5ac",
-    "greedy_schedule-coding.json": "bd9e56c9e0b0c2fcce78b1dd33e8a665b3739ae6390f6bf292e5731fa70de5f7",
-    "greedy_schedule-coding.csv": "56e2b5146e794b4a99e509c79b4c46dc0dc282f859b4ca05bc6ffb7b810cf77a",
-    "random_p-routing.json": "eb13338a50b1e2d84475b981601a4c1e75e9f76e00e1b22bf3888685e6f39f50",
-    "random_p-routing.csv": "e12ceb731cf3bd7ba27c376fd4715fb110749a836f3a67991dcc5d3503d065f3",
-    "random_p-coding.json": "2a34564efb060dd6024fc189c8117c3c0fc264284cce1c3557ad375fc3facb5f",
-    "random_p-coding.csv": "9d3d6480da22bb3cbf2ecd9261780a2e6a641052bd9f027a6a2abff51d5f8cc3",
-}
-
-
 def simulate_six(tmp_path, n):
-    """sha256 of every artifact of the six policy x model simulate runs on one net."""
+    """Every artifact of the six policy x model simulate runs on one net, by file name."""
     run_ok(["gen", "--n", str(n), "--seed", "5", "--out", "g.net", "--radius2"])
     for policy, extra in (("round_robin", []), ("greedy_schedule", []), ("random_p", ["--p", "0.0625"])):
         for model in ("routing", "coding"):
@@ -532,20 +512,18 @@ def simulate_six(tmp_path, n):
                  "--seed", "3", *extra, "--out", f"{stem}.json", "--series", f"{stem}.csv"]
             )
             for name in (f"{stem}.json", f"{stem}.csv"):
-                yield name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                yield name, (tmp_path / name).read_bytes()
 
 
-def test_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "n, group", [(256, "simulate n=256"), (1024, "simulate n=1024")], ids=["n256", "n1024"]
+)
+def test_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch, n, group):
     monkeypatch.chdir(tmp_path)  # artifacts record the net path as given
-    digests = dict(simulate_six(tmp_path, 256))
-    assert digests == PINNED_SIMULATE_DIGESTS
-
-
-def test_search_simulate_artifacts_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    digests = dict(simulate_six(tmp_path, 1024))
-    assert json.loads((tmp_path / "round_robin-routing.json").read_text())["maxrec_method"] == "search"
-    assert digests == PINNED_SEARCH_SIMULATE_DIGESTS
+    artifacts = dict(simulate_six(tmp_path, n))
+    if n == 1024:  # n' = 32 is past the enumeration budget
+        assert json.loads(artifacts["round_robin-routing.json"])["maxrec_method"] == "search"
+    check(group, artifacts)
 
 
 @pytest.mark.parametrize("n, engine", [(256, "max_receptions_exact"), (1024, "max_receptions_search")])

@@ -1,8 +1,8 @@
 import ast
-import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +23,8 @@ from radionet.model import (
     radius,
     round_step,
 )
+
+from goldens import GOLDENS, check
 
 
 def toy_net():
@@ -129,19 +131,13 @@ def test_radius_never_builds_adjacency():
         assert "reach_masks" not in vars(net.core)
 
 
-#: sha256 of the reprs of `adjacency` on the wrappers below, recorded while
-#: the package still numbered nodes through per-kind helpers. The benchmark's
-#: oracle reads this layout, so any change to it is a behaviour change.
-PINNED_LAYOUT_DIGEST = "6f9d5340ccfe457b2e0a04c45f32335dfa3a0edb9c2ec0286fc7805c09433856"
-
-
 def test_adjacency_matches_pinned_layout_digest():
     layouts = [
         repr(build_radius2(sample_instance(InstanceParams(n, seed)), n).adjacency)
         for n in (16, 64, 256, 1024, 4096)
         for seed in (0, 1, 7)
     ]
-    assert hashlib.sha256("\n".join(layouts).encode()).hexdigest() == PINNED_LAYOUT_DIGEST
+    check("layout", "\n".join(layouts).encode())
 
 
 def test_validate_generated_instance_is_clean(instance_problems):
@@ -308,6 +304,26 @@ def test_only_util_turns_a_seed_into_a_stream():
             )
             if folds or c_seed:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_the_ledger_holds_digests_and_every_group_is_checked():
+    # tests/goldens.py alone hashes and pins bytes. A group that no other
+    # test names as a string is an orphan: nothing checks it.
+    hex_digest = re.compile(r"[0-9a-fA-F]{64}")
+    found, literals = [], set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == "goldens.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                found += [f"{path.name}:{node.lineno} imports hashlib" for m in modules if m == "hashlib"]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+                if hex_digest.fullmatch(node.value):
+                    found.append(f"{path.name}:{node.lineno} pins a digest")
+    found += [f"group {group!r} is checked by no test" for group in GOLDENS if group not in literals]
     assert found == []
 
 

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 
@@ -14,6 +13,8 @@ from radionet.verifier import (
     max_receptions_search,
     monte_carlo_expectation,
 )
+
+from goldens import check, legacy_search_repr
 
 
 def toy_net():
@@ -99,21 +100,6 @@ def test_search_deterministic_given_seed():
     assert (a.best_count, a.witness) == (b.best_count, b.witness)
 
 
-#: sha256 of the reprs of the searches below (in `legacy_repr` form), recorded
-#: before the climb took its matrix already converted; any change here is a
-#: behaviour change.
-PINNED_SEARCH_DIGEST = "876ccc0a775738679d19ed009a7c67c3684a76939b02bc6760ec1dabe8f45e26"
-
-
-def legacy_repr(net, result):
-    """`repr(result)` as it read while the witness was a TransmitSet of sender_count bits."""
-    return (
-        f"MaxReceptionResult(best_count={result.best_count}, witness=TransmitSet("
-        f"width={net.sender_count}, bits={result.witness}), method={result.method!r}, "
-        f"subsets_examined={result.subsets_examined})"
-    )
-
-
 def test_search_matches_pinned_digest():
     # n' = 32 and 64, past the enumeration budget. 32 restarts is the default;
     # 1024 restarts spend the whole 64 n' flip budget, so the last starts get
@@ -124,9 +110,8 @@ def test_search_matches_pinned_digest():
             net = sample_instance(InstanceParams(n, seed=seed))
             for restarts in (32, 1024):
                 result = max_receptions_search(net, restarts=restarts, seed=seed)
-                reports.append(legacy_repr(net, result))
-    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
-    assert digest == PINNED_SEARCH_DIGEST
+                reports.append(legacy_search_repr(net, result))
+    check("search grid", "\n".join(reports).encode())
 
 
 def test_monte_carlo_zero_transmitters():
