@@ -40,3 +40,18 @@ def layout_neighbors(net):
             if receiver.neighbors >> u & 1:
                 link(receiver_node(net, r), sender_node(u))
     return nbrs
+
+
+def distances(nbrs, start):
+    """Breadth-first hop counts from `start` to every node it reaches in `nbrs`."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        layer = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    layer.append(v)
+        frontier = layer
+    return dist

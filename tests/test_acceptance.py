@@ -8,9 +8,6 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from radionet.analytic import (
     certify_chain,
@@ -30,7 +27,8 @@ from radionet.verifier import (
     monte_carlo_expectation,
 )
 
-from layout import SOURCE, layout_neighbors
+from layout import SOURCE, distances, layout_neighbors
+from shared import reception_probability_by_enumeration
 
 N256_SEED = 2026  # fixed n=256 instance used by criteria 6 and 9
 
@@ -43,27 +41,18 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_exact_probability_vs_enumeration():
     started = time.monotonic()
-    checked = 0
-    exact_everywhere = True
-    for n_prime in (2, 4, 8, 16):
-        degrees = [1 << i for i in range(1, n_prime.bit_length())]
-        for delta in degrees:
-            neighbor_sets = list(combinations(range(n_prime), delta))
-            denominator = comb(n_prime, delta)
-            for s in range(1, n_prime + 1):
-                hits = sum(
-                    1
-                    for neighbor_set in neighbor_sets
-                    if sum(1 for u in neighbor_set if u < s) == 1
-                )
-                if p_delta(n_prime, s, delta) != Fraction(hits, denominator):
-                    exact_everywhere = False
-                checked += 1
+    cells = [
+        (n_prime, s, 1 << i)
+        for n_prime in (2, 4, 8, 16)
+        for i in range(1, n_prime.bit_length())
+        for s in range(1, n_prime + 1)
+    ]
+    exact_everywhere = all(p_delta(*cell) == reception_probability_by_enumeration(*cell) for cell in cells)
     elapsed = time.monotonic() - started
     _report(
         1,
         exact_everywhere and elapsed < 10.0,
-        f"{checked} (n',s,delta) cells match brute-force enumeration exactly "
+        f"{len(cells)} (n',s,delta) cells match brute-force enumeration exactly "
         f"in {elapsed:.2f}s (< 10s)",
     )
 
@@ -195,16 +184,7 @@ def _radius_is_two_by_bfs(net) -> bool:
     eccentricity 1.
     """
     nbrs = layout_neighbors(net)
-    dist = {SOURCE: 0}
-    frontier = [SOURCE]
-    while frontier:
-        layer = []
-        for u in frontier:
-            for v in nbrs[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    layer.append(v)
-        frontier = layer
+    dist = distances(nbrs, SOURCE)
     universal = max(len(neighbours) for neighbours in nbrs.values()) == len(nbrs) - 1
     return len(dist) == len(nbrs) and max(dist.values()) == 2 and not universal
 

@@ -1,7 +1,5 @@
 import math
-import random
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -19,16 +17,7 @@ from radionet.analytic import (
 )
 from radionet.errors import InputError
 
-
-def reception_probability_by_enumeration(n_prime: int, s: int, delta: int) -> Fraction:
-    """Oracle: enumerate every delta-subset of senders and count the ones
-    containing exactly one of the first s senders."""
-    hits = sum(
-        1
-        for neighbor_set in combinations(range(n_prime), delta)
-        if sum(1 for u in neighbor_set if u < s) == 1
-    )
-    return Fraction(hits, comb(n_prime, delta))
+from shared import reception_probability_by_enumeration
 
 
 def test_p_delta_spec_values():
@@ -58,30 +47,6 @@ def test_p_delta_rejects_bad_arguments():
         p_delta(4, 2, 0)
     with pytest.raises(InputError):
         p_delta(0, 0, 1)
-
-
-def test_p_delta_agrees_with_monte_carlo():
-    rng = random.Random(1717)
-    samples = 100_000
-    for s, delta in [(2, 2), (4, 4), (8, 2)]:
-        exact = float(p_delta(16, s, delta))
-        hits = 0
-        for _ in range(samples):
-            neighbor_set = rng.sample(range(16), delta)
-            hits += sum(1 for u in neighbor_set if u < s) == 1
-        estimate = hits / samples
-        stderr = math.sqrt(max(estimate * (1 - estimate), 1e-12) / samples)
-        assert abs(estimate - exact) <= 4 * stderr
-
-
-def test_hypergeometric_mass_at_one_equals_p_delta():
-    # Distribution of |neighbors ∩ transmitters| for n'=4, s=2, delta=2.
-    counts = {0: 0, 1: 0, 2: 0}
-    for neighbor_set in combinations(range(4), 2):
-        counts[sum(1 for u in neighbor_set if u < 2)] += 1
-    total = comb(4, 2)
-    assert Fraction(counts[1], total) == p_delta(4, 2, 2)
-    assert sum(counts.values()) == total
 
 
 def test_p_delta_upper_spec_values():
@@ -191,15 +156,6 @@ def test_certify_chain_degree_one_collapses():
             assert value == pytest.approx(1 / n_prime)
         assert values[-1] == pytest.approx(math.exp(1 - 1 / n_prime) / n_prime)
         assert passed
-
-
-def test_certify_chain_holds_on_moderate_grid():
-    for n_prime in range(1, 25):
-        for s in range(1, n_prime + 1):
-            for delta in range(1, n_prime - s + 2):
-                cell = certify_chain(n_prime, s, delta)
-                assert cell[-1], (n_prime, s, delta, cell)
-    assert certify_chain(64, 8, 8)[-1]
 
 
 def test_certify_chain_rejects_invalid_domain():

@@ -35,6 +35,8 @@ from radionet.cli import MAX_GRID_NPRIME, dispatch
 from radionet.model import MAX_N, MAX_SENDERS, dumps, loads
 from radionet.verifier import MAX_RESTARTS
 
+from shared import simulate_artifact
+
 #: The child's address-space limit, its alarm per case and its overall time limit.
 CHILD_MEMORY_BYTES = 1 << 30
 CASE_SECONDS = 20
@@ -52,10 +54,6 @@ BAD = st.sampled_from(
 )
 SEEDS = st.integers(0, 2**64 - 1).map(str)
 PATHS = st.sampled_from(["out", "series.csv"])
-
-#: One well-formed simulate artifact, for the examples that retype one field.
-ARTIFACT = {"schema_version": 1, "n": 16, "seed": 3, "policy": "round_robin", "k": 2,
-            "rounds_used": 9, "accounting_lower_bound": 4, "throughput": 0.25}
 
 
 class CaseTimeout(Exception):
@@ -286,8 +284,8 @@ def cases(draw):
 @example((["verify", "--net", "g.net"], {"g.net": "radionet v1 1 1\n1 0 0\n"}))  # a repeated id
 @example((["verify", "--net", "g.net"], {"g.net": "radionet v1 2 1\n1 0 1\nradius2 x 0\n"}))  # a bad footer
 @example((["report", "a.json", "--out", "out"], {"a.json": '{"schema_version": 1, '}))  # bad JSON
-@example((["report", "a.json", "--out", "out"], {"a.json": json.dumps({**ARTIFACT, "rounds_used": "9,9"})}))
-@example((["report", "a.json", "--out", "out"], {"a.json": json.dumps({**ARTIFACT, "throughput": float("nan")})}))
+@example((["report", "a.json", "--out", "out"], {"a.json": json.dumps(simulate_artifact(rounds_used="9,9"))}))
+@example((["report", "a.json", "--out", "out"], {"a.json": json.dumps(simulate_artifact(throughput=float("nan")))}))
 @example((["verify", "--net", "g.net", "--threshold", "1e308", "--out", "out"], {}))  # c*n' past a float
 @example((["verify", "--net", "g.net", "--search", "--seed", str(2**64), "--out", "out"], {}))
 @example((["simulate", "--net", "g.net", "--k", "1000000000", "--out", "out"], {}))

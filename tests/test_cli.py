@@ -12,17 +12,18 @@ from radionet import broadcast, cli
 from radionet.broadcast import MAX_K, MAX_K_RECEIVERS, MAX_ROUNDS, BroadcastConfig, lower_bound_rounds
 from radionet.cli import _write_csv, dispatch
 from radionet.instance import InstanceParams
-from radionet.model import MAX_N, MAX_RECEIVERS, MAX_SENDERS, load
+from radionet.model import MAX_N, MAX_RECEIVERS, MAX_SENDERS, dumps, load
 from radionet.verifier import MAX_RESTARTS
 
 from goldens import check
+from shared import instance_problems, simulate_artifact, toy_net
 
 
 def run_ok(argv):
     assert dispatch(argv) == 0
 
 
-def test_gen_writes_loadable_net(tmp_path, capsys, instance_problems):
+def test_gen_writes_loadable_net(tmp_path, capsys):
     out = tmp_path / "h.net"
     run_ok(["gen", "--n", "256", "--seed", "7", "--out", str(out)])
     summary = json.loads(capsys.readouterr().out)
@@ -64,7 +65,7 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 
 #: Sender 0 alone reaches both receivers: the maximum is 2 at c*n' = 2c.
-TOY_NET = "radionet v1 2 2\n0 0\n1 0 1\n"
+TOY_NET = dumps(toy_net())
 
 
 @pytest.mark.parametrize(
@@ -385,10 +386,11 @@ def test_report_rejects_schema_mismatch(tmp_path, capsys):
     assert "schema-version mismatch" in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_report_rejects_foreign_artifact(tmp_path):
+def test_report_rejects_foreign_artifact(tmp_path, capsys):
     alien = tmp_path / "alien.json"
-    alien.write_text(json.dumps({"schema_version": 1, "surprise": True}))
+    alien.write_text(json.dumps({"schema_version": cli.SCHEMA_VERSION, "surprise": True}))
     assert dispatch(["report", str(alien)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == f"{alien} is not a simulate artifact: missing 'n'"
 
 
 @pytest.mark.parametrize(
@@ -414,8 +416,7 @@ def test_report_rejects_throughput_that_is_not_finite(tmp_path, capsys, cell):
 
 def _assert_report_refuses(tmp_path, capsys, field, cell):
     """`report` of a good artifact and one whose `field` holds the JSON text `cell` exits 3 and writes nothing."""
-    artifact = {"schema_version": 1, "n": 16, "seed": 3, "policy": "round_robin", "k": 2,
-                "rounds_used": 9, "accounting_lower_bound": 4, "throughput": 0.25}
+    artifact = simulate_artifact()
     good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "m.csv"
     good.write_text(json.dumps(artifact))
     items = (f"{json.dumps(key)}: {cell if key == field else json.dumps(value)}" for key, value in artifact.items())
@@ -429,8 +430,7 @@ def _assert_report_refuses(tmp_path, capsys, field, cell):
 
 def test_report_renders_null_cells_empty(tmp_path):
     # A zero-round run has no throughput: written as null, an empty cell.
-    artifact = {"schema_version": 1, "n": 16, "seed": 3, "policy": "random_p", "k": 0,
-                "rounds_used": 0, "accounting_lower_bound": 0, "throughput": None}
+    artifact = simulate_artifact(policy="random_p", k=0, rounds_used=0, accounting_lower_bound=0, throughput=None)
     art, out = tmp_path / "a.json", tmp_path / "m.csv"
     art.write_text(json.dumps(artifact))
     run_ok(["report", str(art), "--out", str(out)])

@@ -14,6 +14,8 @@ from radionet.instance import (
 )
 from radionet.model import bit_mask, dumps
 
+from shared import instance_problems
+
 # chi-square critical value, 5 degrees of freedom, p = 0.001
 CHI2_CRIT_DF5 = 20.515005652432873
 
@@ -40,7 +42,7 @@ def test_params_reject_bad_seed():
         InstanceParams(16, seed=2**64)
 
 
-def test_sample_instance_shape_n256(instance_problems):
+def test_sample_instance_shape_n256():
     net = sample_instance(InstanceParams(256, seed=7))
     assert net.sender_count == 16
     assert max(r.class_index for r in net.receivers) == 4

@@ -1,7 +1,6 @@
 import ast
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -25,11 +24,7 @@ from radionet.model import (
 )
 
 from goldens import GOLDENS, check
-
-
-def toy_net():
-    """Senders {a=0, b=1}; r1 hears only a, r2 hears both."""
-    return BipartiteRadioNet(2, (Receiver(0, bit_mask((0,))), Receiver(1, bit_mask((0, 1)))))
+from shared import class_degree_problems, instance_problems, simulate_artifact, toy_net
 
 
 def test_round_step_nobody_transmits():
@@ -57,28 +52,6 @@ def test_monotonicity_failure_witness():
     small, _ = round_step(toy_net(), 0b01)
     big, _ = round_step(toy_net(), 0b11)
     assert small.bit_count() > big.bit_count()
-
-
-def test_round_step_matches_independent_recount():
-    rng = random.Random(90125)
-    for _ in range(200):
-        senders = rng.randint(1, 8)
-        receivers = tuple(
-            Receiver(0, bit_mask(rng.sample(range(senders), rng.randint(1, senders))))
-            for _ in range(rng.randint(0, 10))
-        )
-        net = BipartiteRadioNet(senders, receivers)
-        members = [u for u in range(senders) if rng.random() < 0.5]
-        out_heard, out_listeners = round_step(net, bit_mask(members))
-        sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
-        for i, receiver in enumerate(receivers):
-            hits = [u for u in bit_members(receiver.neighbors) if u in members]
-            if len(hits) == 1:
-                sole[hits[0]] = sole.get(hits[0], 0) | 1 << i
-                heard.append(i)
-        assert out_listeners == tuple(sorted(sole.items()))
-        assert out_heard == bit_mask(heard)
-        assert out_heard.bit_count() == len(heard)
 
 
 def test_round_step_is_pure():
@@ -140,7 +113,7 @@ def test_adjacency_matches_pinned_layout_digest():
     check("layout", "\n".join(layouts).encode())
 
 
-def test_validate_generated_instance_is_clean(instance_problems):
+def test_validate_generated_instance_is_clean():
     for seed in (0, 1, 99):
         assert instance_problems(sample_instance(InstanceParams(64, seed=seed))) == []
 
@@ -150,7 +123,7 @@ def test_validate_flags_duplicate_neighbor():
         loads("radionet v1 4 1\n1 3 3\n")
 
 
-def test_validate_flags_wrong_class_degree(class_degree_problems):
+def test_validate_flags_wrong_class_degree():
     net = BipartiteRadioNet(4, (Receiver(2, bit_mask((0, 1, 2))),))
     assert loads(dumps(net)) == net  # loading accepts it
     assert class_degree_problems(net) == ["receiver 0: degree 3 != 2^2"]
@@ -207,9 +180,7 @@ def test_core_modules_do_not_load_numpy(tmp_path):
     # numpy is the exhaustive enumeration's private encoding: the model, the
     # generator and the analytic chain run on Python ints and fractions, and
     # so does every command that runs no enumeration.
-    artifact = {"schema_version": 1, "n": 64, "seed": 0, "policy": "round_robin", "k": 1,
-                "rounds_used": 3, "accounting_lower_bound": 2, "throughput": 1 / 3}
-    (tmp_path / "s.json").write_text(json.dumps(artifact))
+    (tmp_path / "s.json").write_text(json.dumps(simulate_artifact()))
     code = "\n".join([
         "import sys, radionet.model, radionet.instance, radionet.analytic, radionet.cli",
         "runs = [['gen', '--n', '64', '--radius2', '--out', 'g.net'],",
@@ -325,6 +296,18 @@ def test_only_the_ledger_holds_digests_and_every_group_is_checked():
                     found.append(f"{path.name}:{node.lineno} pins a digest")
     found += [f"group {group!r} is checked by no test" for group in GOLDENS if group not in literals]
     assert found == []
+
+
+def test_no_helper_is_defined_in_two_test_files():
+    # A helper that two test files use lives once, in shared.py, layout.py or
+    # goldens.py; a second definition is a copy that can drift from the first.
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    owners = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for owner in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(owner, definitions) and not owner.name.startswith("test_"):
+                owners.setdefault(owner.name, []).append(path.name)
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():

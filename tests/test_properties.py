@@ -40,7 +40,7 @@ from radionet.model import (
 from radionet.util import derive_rng, reseed
 from radionet.verifier import climb, max_receptions_exact, max_receptions_search
 
-from layout import SOURCE, layout_neighbors, receiver_node, sender_node, void_node
+from layout import SOURCE, distances, layout_neighbors, receiver_node, sender_node, void_node
 
 
 @st.composite
@@ -299,16 +299,7 @@ def brute_force_radius(net):
     nbrs = layout_neighbors(net)
     eccentricities = []
     for start in nbrs:
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            layer = []
-            for u in frontier:
-                for v in nbrs[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        layer.append(v)
-            frontier = layer
+        dist = distances(nbrs, start)
         eccentricities.append(max(dist.values()) if len(dist) == len(nbrs) else math.inf)
     return min(eccentricities)
 
@@ -482,8 +473,6 @@ def reference_broadcast(net, cfg, maxrec):
             mask = 1 << ((rounds - k) % n_senders)
         elif cfg.policy == "greedy_schedule":
             mask = _best_transmit_mask(core, sum(1 << r for r in waiting))
-            if not mask:
-                break
         else:
             rng = derive_rng(cfg.seed, rounds + 1)
             mask = sum(1 << u for u in range(n_senders) if rng.random() < cfg.p)

@@ -15,10 +15,7 @@ from radionet.verifier import (
 )
 
 from goldens import check, legacy_search_repr
-
-
-def toy_net():
-    return BipartiteRadioNet(2, (Receiver(0, bit_mask((0,))), Receiver(1, bit_mask((0, 1)))))
+from shared import toy_net
 
 
 def test_exact_on_toy():
@@ -93,13 +90,6 @@ def test_search_covers_singleton_starts():
     assert result.best_count >= best_single
 
 
-def test_search_deterministic_given_seed():
-    net = sample_instance(InstanceParams(256, seed=8))
-    a = max_receptions_search(net, restarts=16, seed=5)
-    b = max_receptions_search(net, restarts=16, seed=5)
-    assert (a.best_count, a.witness) == (b.best_count, b.witness)
-
-
 def test_search_matches_pinned_digest():
     # n' = 32 and 64, past the enumeration budget. 32 restarts is the default;
     # 1024 restarts spend the whole 64 n' flip budget, so the last starts get
@@ -120,38 +110,20 @@ def test_monte_carlo_zero_transmitters():
     assert estimate.std_error == 0.0
 
 
-def test_monte_carlo_matches_exact_expectation():
-    from radionet.analytic import expected_receivers
-
-    for s in (1, 2):
-        estimate = monte_carlo_expectation(InstanceParams(16), s, trials=3000, seed=s)
-        exact = float(expected_receivers(4, s))
-        slack = 4 * max(estimate.std_error, 1e-9)
-        assert abs(estimate.mean - exact) <= slack
-
-
 def test_transmit_set_choice_is_exchangeable():
     # The construction is symmetric over senders, so any fixed s-subset gives
     # the same reception distribution; compare two different fixed pairs.
     rng = random.Random(77)
-    params = InstanceParams(16)
-    first = 0b0011
-    last = 0b1100
     trials = 4000
 
-    def run(transmitters, offset):
-        total = total_sq = 0.0
-        for t in range(trials):
-            net = sample_instance(InstanceParams(16, seed=rng.getrandbits(64)))
-            count = round_step(net, transmitters)[0].bit_count()
-            total += count
-            total_sq += count * count
-        mean = total / trials
-        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        return mean, math.sqrt(variance / trials)
+    def run(transmitters):
+        return mean_and_se([
+            round_step(sample_instance(InstanceParams(16, seed=rng.getrandbits(64))), transmitters)[0].bit_count()
+            for _ in range(trials)
+        ])
 
-    mean_a, se_a = run(first, 0)
-    mean_b, se_b = run(last, 1)
+    mean_a, se_a = run(0b0011)
+    mean_b, se_b = run(0b1100)
     assert abs(mean_a - mean_b) <= 4 * math.hypot(se_a, se_b)
 
 
@@ -162,21 +134,28 @@ def test_monte_carlo_validates_arguments():
         monte_carlo_expectation(InstanceParams(16), 1, trials=0)
 
 
+def mean_and_se(counts):
+    """The sample mean and its standard error, in monte_carlo_expectation's float order of operations."""
+    total = total_sq = 0.0
+    for count in counts:
+        total += count
+        total_sq += count * count
+    trials = len(counts)
+    mean = total / trials
+    if trials == 1:
+        return mean, 0.0
+    variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+    return mean, math.sqrt(variance / trials)
+
+
 def monte_carlo_by_nets(params, s, trials, seed):
     """Reference: build each trial's net and count one round_step."""
     transmitters = (1 << s) - 1
     rng = derive_rng(seed)
-    total = total_sq = 0.0
-    for _ in range(trials):
-        net = sample_instance(InstanceParams(params.n, rng.getrandbits(64)))
-        count = round_step(net, transmitters)[0].bit_count()
-        total += count
-        total_sq += count * count
-    mean = total / trials
-    if trials > 1:
-        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        return mean, math.sqrt(variance / trials)
-    return mean, 0.0
+    return mean_and_se([
+        round_step(sample_instance(InstanceParams(params.n, rng.getrandbits(64))), transmitters)[0].bit_count()
+        for _ in range(trials)
+    ])
 
 
 @pytest.mark.parametrize(
