@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .model import BipartiteRadioNet, Radius2Net, bit_members, fold
+from .model import BipartiteRadioNet, Radius2Net, bit_members, round_step
 from .util import reseed
 from .verifier import climb
-# Only the benchmark's tracer (perfbench/spans.py) reads these: it wraps them here.
-from .model import round_step
+# Only the benchmark's tracer (perfbench/spans.py) reads these two: it wraps them here.
 from .verifier import max_receptions_exact, max_receptions_search
 
 POLICIES = ("round_robin", "greedy_schedule", "random_p")
@@ -151,8 +150,8 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
     The source phase plays no round: the source alone transmits one message
     (or unit coefficient vector) per round, so every sender hears it and no
     receiver can. After it every sender holds all k messages, or the cap has
-    ended the run. Each nonempty policy round then folds its transmitters'
-    reach masks once with the real collision semantics (`model.fold`), and
+    ended the run. Each nonempty policy round is then played by
+    `model.round_step`, which folds its transmitters' reach masks once, and
     every transmitter, heard or not, takes its payload in ascending order:
     the routing cycle moves on and a coding draw is used up either way. Only
     waiting receivers insert what they hear into their GF(2) basis: a
@@ -210,8 +209,7 @@ def run_broadcast(net: Radius2Net, cfg: BroadcastConfig, maxrec: int) -> Broadca
         rounds += 1
         hits = 0
         if members:  # an empty random_p round still costs time
-            one, two, _ = fold(reach, members)
-            heard = one & ~two
+            heard = round_step(core, members)
             hits = heard.bit_count()
             _add_to_planes(reception_planes, heard)
             if coding:

@@ -25,9 +25,11 @@ in the package uses one of them:
   receivers it reaches, into the receivers at one or more, two or more and
   three or more transmitting neighbors, `three |= two & m; two |= one & m;
   one |= m`. A receiver hears the round iff it is in `one & ~two`.
-  `round_step` reads a round from this fold, and `verifier.climb` its flip
-  gains; the receivers at zero and at exactly one are the bit sets of the
-  exhaustive enumeration's half tables (`verifier._half_tables`).
+  `round_step` reads a round from this fold, and the simulator
+  (`broadcast.run_broadcast`) plays every round through `round_step`;
+  `verifier.climb` reads its flip gains from the fold; the receivers at
+  zero and at exactly one are the bit sets of the exhaustive enumeration's
+  half tables (`verifier._half_tables`).
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ class BipartiteRadioNet:
 
     Only receiver->sender adjacency exists; there are no sender-sender or
     receiver-receiver edges. Immutable after construction, so round
-    evaluation is reentrant and safe to share across workers. A receiver
-    with a negative class index, or a neighbor mask that is negative or has
-    a bit at or past sender_count, is an InputError.
+    evaluation is reentrant. A receiver with a negative class index, or a
+    neighbor mask that is negative or has a bit at or past sender_count, is
+    an InputError.
     """
 
     sender_count: int
@@ -181,13 +183,16 @@ class Radius2Net:
 RadioNet = BipartiteRadioNet | Radius2Net
 
 
-def fold(reach: Sequence[int], members: Iterable[int]) -> tuple[int, int, int]:
+def fold(
+    reach: Sequence[int], members: Iterable[int], start: tuple[int, int, int] = (0, 0, 0)
+) -> tuple[int, int, int]:
     """The receivers at one or more, two or more and three or more transmitting neighbors.
 
     `reach[u]` holds the receivers of sender u as a bit mask and `members`
-    the transmitting senders, in any order.
+    the transmitting senders, in any order. `start` is the three sets of an
+    earlier fold, which this one extends by `members`.
     """
-    one = two = three = 0
+    one, two, three = start
     for u in members:
         m = reach[u]
         three |= two & m
@@ -196,29 +201,17 @@ def fold(reach: Sequence[int], members: Iterable[int]) -> tuple[int, int, int]:
     return one, two, three
 
 
-def round_step(net: BipartiteRadioNet, mask: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Evaluate one synchronous round of the exactly-one reception rule on a core.
+def round_step(net: BipartiteRadioNet, members: Iterable[int]) -> int:
+    """One synchronous round on a core: the receivers that hear it, as a bit set.
 
-    Pure function: identical inputs give identical outcomes. Bit u of `mask`
-    is set iff sender u transmits, and receiver r receives iff exactly one
-    of its senders transmits. Returns the receiver bit sets (heard,
-    listeners): `heard` holds the receivers that received, and `listeners`
-    one `(u, bits)` pair per sender u that delivered anything, in ascending
-    u, with `bits` the receivers whose single transmitting neighbor is u.
-    Works from the sender side: one `fold` of the transmitters' reach masks,
-    O(|T|) big-int operations, not one step per receiver. Any other net
-    type, a `Radius2Net` included, is an InputError; so is a mask that is
-    negative or has a bit at or past sender_count.
+    `members` are the transmitting senders, in any order, and receiver r
+    hears iff exactly one of its senders transmits. The receivers that hear
+    sender u alone are `net.reach_masks[u]` and the result. One `fold` of the
+    transmitters' reach masks, O(|T|) big-int operations, not one step per
+    receiver. Pure: identical inputs give identical outcomes.
     """
-    if not isinstance(net, BipartiteRadioNet):
-        raise InputError(f"unsupported network type {type(net).__name__}")
-    if not 0 <= mask < 1 << net.sender_count:
-        raise InputError(f"transmit mask {mask:#x} out of range for {net.sender_count} senders")
-    reach = net.reach_masks
-    members = bit_members(mask)
-    one, two, _ = fold(reach, members)
-    heard = one & ~two
-    return heard, tuple((u, bits) for u in members if (bits := reach[u] & heard))
+    one, two, _ = fold(net.reach_masks, members)
+    return one & ~two
 
 
 def radius(net: Radius2Net) -> int:

@@ -149,8 +149,8 @@ def climb(reach: Sequence[int], mask: int, flips: int) -> tuple[int, int, int, i
     ties), until none improves or `flips` are spent. The gains come from
     `model.fold`'s sets: a sender turning on gains its receivers at none and
     loses those at exactly one; one turning off gains those at exactly two
-    and loses those at exactly one. A flip on extends the sets in place, a
-    flip off folds them again. Returns the final mask, the flips left, the
+    and loses those at exactly one. A flip on extends the fold by its sender,
+    a flip off folds them again. Returns the final mask, the flips left, the
     number of scans made and the receivers at exactly one under the mask.
     """
     one, two, three = fold(reach, bit_members(mask))
@@ -168,10 +168,7 @@ def climb(reach: Sequence[int], mask: int, flips: int) -> tuple[int, int, int, i
         flips -= 1
         mask ^= 1 << best_flip
         if mask >> best_flip & 1:
-            m = reach[best_flip]
-            three |= two & m
-            two |= one & m
-            one |= m
+            one, two, three = fold(reach, (best_flip,), (one, two, three))
         else:
             one, two, three = fold(reach, bit_members(mask))
     return mask, flips, scans, (one & ~two).bit_count()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radionet.analytic import (
+    _CHAIN_EPS,
     certify_chain,
     chain_grid,
     chernoff_tail,
@@ -185,3 +186,14 @@ def test_certify_chain_matches_rational_arithmetic():
         assert values[0] == float(exact)
         assert values[1] == float(power)
         assert exact <= power
+
+
+def test_chain_grid_exponential_form_matches_its_formula():
+    # The chain's third value, (s*delta/n') * exp(-(s-1)(delta-1)/(n'-1)),
+    # recomputed for every cell. A wrong exponent only loosens the chain, so
+    # the cells' pass flags cannot catch it.
+    for n_prime in range(1, 17):
+        for s, delta, _, _, values, _ in chain_grid(n_prime):
+            exponent = (s - 1) * (delta - 1) / max(n_prime - 1, 1)
+            expected = s * delta / n_prime * math.exp(-exponent)
+            assert math.isclose(values[2], expected, rel_tol=_CHAIN_EPS), (n_prime, s, delta)

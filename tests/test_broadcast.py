@@ -15,7 +15,7 @@ from radionet.broadcast import (
 )
 from radionet.errors import InputError
 from radionet.instance import InstanceParams, build_radius2, sample_instance
-from radionet.model import BipartiteRadioNet, Receiver, bit_mask, round_step
+from radionet.model import BipartiteRadioNet, Receiver, bit_mask, bit_members, round_step
 from radionet.verifier import max_receptions_exact
 
 from goldens import check, legacy_report_repr
@@ -211,8 +211,7 @@ def test_coding_never_loses_to_round_robin_routing_on_toys():
 def test_greedy_schedule_toy_first_set():
     mask = _best_transmit_mask(toy_net(), 0b11)
     assert mask == 0b01  # sender a reaches both receivers
-    heard, _ = round_step(toy_net(), mask)
-    assert heard.bit_count() == 2
+    assert round_step(toy_net(), bit_members(mask)).bit_count() == 2
 
 
 def test_greedy_schedule_empty_when_satisfied():
@@ -266,3 +265,17 @@ def test_greedy_climbs_once_per_waiting_set(model):
     changes = sum(1 for before, now in zip([None, *waiting], waiting) if now != before)
     assert climbs.call_count == changes < len(waiting)
 
+
+@pytest.mark.parametrize("policy, p", [("round_robin", None), ("greedy_schedule", None), ("random_p", 1.0)])
+@pytest.mark.parametrize("model", ["routing", "coding"])
+def test_every_policy_round_is_played_by_round_step(policy, p, model):
+    # The simulator has one round function: every round after the source
+    # phase calls model.round_step once, on the core. Under p = 1 no random_p
+    # round is empty, and an empty round plays nothing.
+    net = build_radius2(sample_instance(InstanceParams(64, seed=5)), 64)
+    cfg = BroadcastConfig(k=3, content_model=model, policy=policy, p=p, max_rounds=60, seed=7)
+    with mock.patch.object(broadcast, "round_step", wraps=round_step) as rounds:
+        report = run_broadcast(net, cfg, 1)
+    assert report.rounds_used > cfg.k
+    assert rounds.call_count == report.rounds_used - cfg.k
+    assert all(call.args[0] is net.core for call in rounds.call_args_list)

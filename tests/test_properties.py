@@ -100,8 +100,7 @@ def test_exact_matches_brute_force_count_and_smallest_witness(net):
     assert (result.best_count, result.witness) == brute_force_maximum(net)
     found = max_receptions_search(net, restarts=2, seed=1)
     assert found.best_count <= result.best_count
-    heard, _ = round_step(net, found.witness)
-    assert heard.bit_count() == found.best_count
+    assert round_step(net, bit_members(found.witness)).bit_count() == found.best_count
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,7 +145,7 @@ def whole_net_round(nbrs, transmitting):
 @given(cores(), st.data())
 def test_round_step_bipartite_matches_recount(net, data):
     members = data.draw(st.sets(st.integers(0, net.sender_count - 1)))
-    out_heard, out_listeners = round_step(net, bit_mask(members))
+    out_heard = round_step(net, members)
     sole, heard = {}, []  # each transmitter's receivers that hear it alone; all of them
     for i, receiver in enumerate(net.receivers):
         hits = [u for u in bit_members(receiver.neighbors) if u in members]
@@ -155,7 +154,8 @@ def test_round_step_bipartite_matches_recount(net, data):
             heard.append(i)
     assert out_heard == bit_mask(heard)
     assert out_heard.bit_count() == len(heard)
-    assert out_listeners == tuple(sorted(sole.items()))
+    # run_broadcast's listeners of a transmitter: its reach mask and the heard set
+    assert {u: net.reach_masks[u] & out_heard for u in members} == {u: sole.get(u, 0) for u in members}
 
 
 def reference_reach(core):
@@ -203,7 +203,7 @@ def test_greedy_mask_serves_a_waiting_receiver_on_every_wrapper(core, data):
     waiting = bit_mask(data.draw(st.sets(st.integers(0, core.receiver_count - 1), min_size=1)))
     mask = _best_transmit_mask(core, waiting)
     assert mask != 0
-    assert round_step(core, mask)[0] & waiting
+    assert round_step(core, bit_members(mask)) & waiting
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,11 +211,10 @@ def test_greedy_mask_serves_a_waiting_receiver_on_every_wrapper(core, data):
 def test_climb_stops_at_a_local_maximum(core, data):
     start = data.draw(st.integers(0, (1 << core.sender_count) - 1))
     mask, _, _, count = climb(core.reach_masks, start, flips=1 << 30)
-    here, _ = round_step(core, mask)
-    assert count == here.bit_count()
+    here = round_step(core, bit_members(mask)).bit_count()
+    assert count == here
     for u in range(core.sender_count):
-        flipped, _ = round_step(core, mask ^ (1 << u))
-        assert flipped.bit_count() <= here.bit_count()
+        assert round_step(core, bit_members(mask ^ (1 << u))).bit_count() <= here
 
 
 def start_counters(core, start):
@@ -271,13 +270,13 @@ def test_core_round_equals_radius2_round(core, voids, data):
     # delivers exactly what the core round delivers.
     net = Radius2Net(core, voids)
     members = data.draw(st.sets(st.integers(0, core.sender_count - 1)))
-    on_core_heard, on_core_listeners = round_step(core, bit_mask(members))
+    on_core_heard = round_step(core, members)
     whole = whole_net_round(layout_neighbors(net), {sender_node(u) for u in members})
     whole.pop(SOURCE, None)  # it hears a lone sender, but it holds every message
     assert whole == {
         receiver_node(net, r): sender_node(u)
-        for u, bits in on_core_listeners
-        for r in bit_members(bits)
+        for u in members
+        for r in bit_members(core.reach_masks[u] & on_core_heard)
     }
     assert on_core_heard == bit_mask(node - receiver_node(net, 0) for node in whole)
 
@@ -457,8 +456,9 @@ def reference_broadcast(net, cfg, maxrec):
 
     Decoded receivers insert too, the greedy tally counts every listener,
     and the minimum rank is recomputed each round. Each receiver keeps its
-    own pivot dict, and every round's randomness comes from a new
-    `derive_rng` generator.
+    own pivot dict and finds its sole transmitter from its own neighbour
+    mask, so no round code is shared with the simulator. Every round's
+    randomness comes from a new `derive_rng` generator.
     """
     core = net.core
     k, n_senders = cfg.k, core.sender_count
@@ -479,10 +479,10 @@ def reference_broadcast(net, cfg, maxrec):
         rounds += 1
         hits = 0
         if mask:
-            source_of = [None] * core.receiver_count
-            for u, bits in round_step(core, mask)[1]:
-                for r in bit_members(bits):
-                    source_of[r] = u
+            source_of = []  # each receiver's sole transmitting neighbour, by the receiver-side rule
+            for receiver in core.receivers:
+                transmitting = receiver.neighbors & mask
+                source_of.append(transmitting.bit_length() - 1 if transmitting.bit_count() == 1 else None)
             if cfg.content_model == "coding":
                 rng = derive_rng(cfg.seed, rounds, 1)
                 payloads = {u: broadcast._span_sample(k, rng) for u in bit_members(mask)}
